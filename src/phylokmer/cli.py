@@ -98,6 +98,13 @@ def _emit_rows(index: KmerIndex, read_id: str, sequence: bytes, k: int, out: IO[
 
 
 def cmd_query(args: argparse.Namespace) -> int:
+    if args.pattern is not None:
+        try:
+            pattern = args.pattern.upper().encode("latin-1")
+        except UnicodeEncodeError as exc:
+            bad = exc.object[exc.start]
+            print(f"error: --pattern: {bad!r} is not a latin-1 character", file=sys.stderr)
+            return 1
     try:
         index = load_index(args.index)
     except (OSError, IndexFileError) as exc:
@@ -106,13 +113,14 @@ def cmd_query(args: argparse.Namespace) -> int:
 
     sentinel = bytes([index.sentinel]).decode("latin-1")
     out = sys.stdout
-    close_out = False
-    try:
-        if args.tsv:
+    if args.tsv:
+        try:
             out = open(args.tsv, "w", encoding="utf-8")
-            close_out = True
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    try:
         if args.pattern is not None:
-            pattern = args.pattern.upper().encode("latin-1")
             if sentinel.encode("latin-1") in pattern:
                 print("error: pattern contains the sentinel byte", file=sys.stderr)
                 return 1
@@ -132,7 +140,7 @@ def cmd_query(args: argparse.Namespace) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
     finally:
-        if close_out:
+        if out is not sys.stdout:
             out.close()
     return 0
 

@@ -7,9 +7,13 @@ grid.  The answer for a k-mer is the lowest common ancestor of those two
 leaves, the root of the smallest subtree containing every genome where the
 k-mer occurs.  k is chosen per query, never at build time.
 
-Per classify call, trie work is shared across k-mers: one incremental
-descent per pattern position and trie family (at most 4m descents for a
-pattern of length m), with loci verified lazily and memoized for the call.
+Per classify call, trie work is shared across k-mers: one descent per
+pattern position and trie family (at most 4m descents for a pattern of
+length m), memoized for the call.  Each descent is verified once: a single
+comparison with stored text decides every prefix length it reached.  Both
+sides run one split loop, the reverse side over the reversed pattern; a
+side stops at its leftmost (rightmost) leaf, and the reverse side is not
+asked about a k-mer the forward side found nowhere.
 """
 from __future__ import annotations
 
@@ -75,7 +79,13 @@ class KmerResult:
 
 @dataclass
 class QueryStats:
-    """Instrumentation for one classify call."""
+    """Instrumentation for one classify call.
+
+    ``descents`` counts trie descents, one per memo miss.  ``verifications``
+    counts comparisons with stored text; each descent makes exactly one,
+    which verifies all of its prefix lengths, so it equals ``descents``.
+    ``grid_queries`` counts grid range queries.
+    """
 
     descents: int = 0
     verifications: int = 0
@@ -177,130 +187,77 @@ def build_index(
     )
 
 
-class _DescentTable:
-    """One incremental trie descent with per-length lazy verification."""
-
-    __slots__ = ("trie", "fed", "loci", "cache", "stats")
-
-    def __init__(self, trie: CompactTrie, fed: bytes, max_len: int, stats: QueryStats):
-        stats.descents += 1
-        self.trie = trie
-        self.fed = fed
-        self.loci = trie.loci_for_pattern_extensions(fed, max_len)
-        self.cache: list[None | bool | tuple[int, int]] = [None] * len(self.loci)
-        self.stats = stats
-
-    def interval(self, length: int) -> tuple[int, int] | None:
-        got = self.cache[length]
-        if got is None:
-            locus = self.loci[length]
-            if locus is None:
-                got = False
-            else:
-                self.stats.verifications += 1
-                verified = self.trie.verify_locus(locus, self.fed[:length])
-                got = False if verified is None else verified.rank_interval
-            self.cache[length] = got
-        return None if got is False else got
-
-
 class _QueryState:
-    """Per-call memo: four descent-table families keyed by pattern position."""
+    """Per-call memo of verified descents, shared by every k-mer and split.
+
+    Each side reads the pattern in its own text's direction (the reverse
+    side reads it reversed), so one split loop serves both.  At cut c of
+    that oriented pattern, family ``2 * is_reverse`` descends the side's
+    suffix trie with the up-to-k bytes left of c, reversed (the alpha
+    parts), and family ``2 * is_reverse + 1`` its prefix trie with the
+    up-to-(k - 1) bytes right of c (the beta parts).  ``memo[family][c]``
+    holds that descent's ``prefix_intervals`` lists.
+    """
 
     def __init__(self, index: KmerIndex, pattern: bytes, k: int, stats: QueryStats):
         self.index = index
-        self.pattern = pattern
+        self.texts = (pattern, pattern[::-1])
         self.k = k
         self.stats = stats
-        self.fwd_alpha: dict[int, _DescentTable] = {}
-        self.fwd_beta: dict[int, _DescentTable] = {}
-        self.rev_alpha: dict[int, _DescentTable] = {}
-        self.rev_beta: dict[int, _DescentTable] = {}
+        self.memo: list[list[tuple[list[int], list[int]] | None]] = [
+            [None] * (len(pattern) + 1) for _ in range(4)
+        ]
 
-    # Alpha tables cover k-mer left parts (up to k bytes), beta tables the
-    # remainders (up to k - 1 bytes).  Keys are the pattern positions where
-    # the fed bytes start or end, so tables are shared across k-mers.
+    def _descend(self, trie: CompactTrie, fed: bytes) -> tuple[list[int], list[int]]:
+        self.stats.descents += 1
+        self.stats.verifications += 1
+        return trie.prefix_intervals(fed)
 
-    def fwd_alpha_at(self, end: int) -> _DescentTable:
-        table = self.fwd_alpha.get(end)
-        if table is None:
-            fed = self.pattern[max(0, end - self.k) : end][::-1]
-            table = _DescentTable(self.index.forward.suffix_trie, fed, len(fed), self.stats)
-            self.fwd_alpha[end] = table
-        return table
-
-    def fwd_beta_at(self, start: int) -> _DescentTable:
-        table = self.fwd_beta.get(start)
-        if table is None:
-            fed = self.pattern[start : start + self.k - 1]
-            table = _DescentTable(self.index.forward.prefix_trie, fed, len(fed), self.stats)
-            self.fwd_beta[start] = table
-        return table
-
-    def rev_alpha_at(self, start: int) -> _DescentTable:
-        table = self.rev_alpha.get(start)
-        if table is None:
-            fed = self.pattern[start : start + self.k]
-            table = _DescentTable(self.index.reverse.suffix_trie, fed, len(fed), self.stats)
-            self.rev_alpha[start] = table
-        return table
-
-    def rev_beta_at(self, end: int) -> _DescentTable:
-        table = self.rev_beta.get(end)
-        if table is None:
-            fed = self.pattern[max(0, end - (self.k - 1)) : end][::-1]
-            table = _DescentTable(self.index.reverse.prefix_trie, fed, len(fed), self.stats)
-            self.rev_beta[end] = table
-        return table
-
-
-def _forward_best(state: _QueryState, i: int) -> int | None:
-    """Min grid label over all splits of the k-mer at position i (0-based)."""
-    k = state.k
-    side = state.index.forward
-    grid = side.grid
-    prefix_root = side.prefix_trie.root_locus()
-    best = None
-    for j in range(1, k + 1):
-        alpha_iv = state.fwd_alpha_at(i + j).interval(j)
-        if alpha_iv is None:
-            continue
-        if j == k:
-            beta_iv = None if prefix_root is None else prefix_root.rank_interval
-        else:
-            beta_iv = state.fwd_beta_at(i + j).interval(k - j)
-        if beta_iv is None:
-            continue
-        state.stats.grid_queries += 1
-        label = grid.range_best(alpha_iv[0], alpha_iv[1], beta_iv[0], beta_iv[1])
-        if label is not None and (best is None or label < best):
-            best = label
-    return best
-
-
-def _reverse_best(state: _QueryState, i: int) -> int | None:
-    """Max grid label over all splits of the reversed k-mer at position i."""
-    k = state.k
-    side = state.index.reverse
-    grid = side.grid
-    prefix_root = side.prefix_trie.root_locus()
-    best = None
-    for j in range(1, k + 1):
-        s = i + k - j
-        alpha_iv = state.rev_alpha_at(s).interval(j)
-        if alpha_iv is None:
-            continue
-        if j == k:
-            beta_iv = None if prefix_root is None else prefix_root.rank_interval
-        else:
-            beta_iv = state.rev_beta_at(s).interval(k - j)
-        if beta_iv is None:
-            continue
-        state.stats.grid_queries += 1
-        label = grid.range_best(alpha_iv[0], alpha_iv[1], beta_iv[0], beta_iv[1])
-        if label is not None and (best is None or label > best):
-            best = label
-    return best
+    def best(self, side: SideIndex, i: int) -> int | None:
+        """Min (forward) or max (reverse) grid label over every split of the
+        k-mer at 0-based pattern position ``i``; None if it occurs nowhere."""
+        k = self.k
+        rev = side.is_reverse
+        text = self.texts[rev]
+        if rev:
+            i = len(text) - k - i
+        alphas = self.memo[2 * rev]
+        betas = self.memo[2 * rev + 1]
+        suffix_trie = side.suffix_trie
+        prefix_trie = side.prefix_trie
+        range_best = side.grid.range_best
+        pick = max if rev else min
+        # Labels are leaf vertices, so the leftmost (rightmost) leaf can't be beaten.
+        leaves = self.index.tree.leaves
+        target = leaves[-1] if rev else leaves[0]
+        best = None
+        for j in range(1, k + 1):
+            c = i + j
+            alpha = alphas[c]
+            if alpha is None:
+                alpha = alphas[c] = self._descend(suffix_trie, text[max(0, c - k) : c][::-1])
+            a_lo, a_hi = alpha
+            if j >= len(a_lo):
+                continue
+            if j == k:
+                if not prefix_trie.size:
+                    continue
+                y1, y2 = 1, prefix_trie.size
+            else:
+                beta = betas[c]
+                if beta is None:
+                    beta = betas[c] = self._descend(prefix_trie, text[c : c + k - 1])
+                b_lo, b_hi = beta
+                if k - j >= len(b_lo):
+                    continue
+                y1, y2 = b_lo[k - j], b_hi[k - j]
+            self.stats.grid_queries += 1
+            label = range_best(a_lo[j], a_hi[j], y1, y2)
+            if label is not None:
+                best = label if best is None else pick(best, label)
+                if best == target:
+                    break
+        return best
 
 
 def _check_pattern(index: KmerIndex, pattern: bytes) -> None:
@@ -314,10 +271,7 @@ def side_query(index: KmerIndex, side: SideIndex, kmer: bytes) -> int | None:
     if not kmer:
         raise ValueError("empty k-mer")
     _check_pattern(index, kmer)
-    state = _QueryState(index, kmer, len(kmer), QueryStats())
-    if side.is_reverse:
-        return _reverse_best(state, 0)
-    return _forward_best(state, 0)
+    return _QueryState(index, kmer, len(kmer), QueryStats()).best(side, 0)
 
 
 def classify(index: KmerIndex, pattern: bytes, k: int) -> list[KmerResult]:
@@ -347,11 +301,11 @@ def classify_with_stats(
     lca_struct = index.lca
     for i in range(len(pattern) - k + 1):
         kmer = pattern[i : i + k]
-        left = _forward_best(state, i)
-        right = _reverse_best(state, i)
-        if left is None or right is None:
+        # Both sides answer None exactly when the k-mer occurs nowhere.
+        left = state.best(index.forward, i)
+        if left is None:
             answer = None
         else:
-            answer = lca_struct.query(left, right)
+            answer = lca_struct.query(left, state.best(index.reverse, i))
         results.append(KmerResult(position=i + 1, kmer=kmer, answer=answer))
     return results, stats

@@ -1,11 +1,12 @@
-"""Compact tries with blind descent and lazy verification.
+"""Compact tries with blind descent and one verification per descent.
 
 Built over a sorted set of byte strings.  Descent compares only the first
 byte of each edge and skips the rest, so a reported locus is a candidate
-until verified against stored text.  A set string that is a proper prefix
-of another ends at a terminal mark on the node at its depth; terminals sort
-before outgoing edges, so leaf ranks in left-to-right order equal the
-1-based sorted-set ranks.
+until verified against stored text; ``prefix_intervals`` verifies every
+prefix length of one descent with a single comparison.  A set string that
+is a proper prefix of another ends at a terminal mark on the node at its
+depth; terminals sort before outgoing edges, so leaf ranks in left-to-right
+order equal the 1-based sorted-set ranks.
 """
 from __future__ import annotations
 
@@ -167,6 +168,45 @@ class CompactTrie:
             below = edge.child
             out.append(Locus(matched_depth=depth, lo=below.lo, hi=below.hi, candidate=True))
         return out
+
+    def prefix_intervals(self, pattern: bytes) -> tuple[list[int], list[int]]:
+        """Verified rank intervals for every prefix length of ``pattern``.
+
+        ``(lo[L], hi[L])`` is the rank interval of the set strings starting
+        with ``pattern[:L]``.  The lists end at the longest such L; both are
+        empty for an empty trie.  One blind descent fills a whole edge's run
+        of lengths at once, then one comparison cuts the lists: all strings
+        under a locus share its path label and the deepest locus' leftmost
+        string lies under every shallower locus, so ``pattern[:L]`` is valid
+        iff its LCP with that string is at least L.
+        """
+        if not self.size:
+            return [], []
+        node = self.root
+        lo = [node.lo]
+        hi = [node.hi]
+        depth = 0
+        limit = len(pattern)
+        while depth < limit:
+            byte = pattern[depth]
+            for edge in node.edges:
+                if edge.first == byte:
+                    break
+            else:
+                break
+            node = edge.child
+            step = min(edge.length, limit - depth)
+            lo += [node.lo] * step
+            hi += [node.hi] * step
+            depth += step
+        if depth:
+            stored = self._access(node.lo - 1, 0, depth)
+            diff = int.from_bytes(stored, "big") ^ int.from_bytes(pattern[:depth], "big")
+            if diff:
+                # the highest differing bit sits in the first mismatching byte
+                lcp = depth - 1 - (diff.bit_length() - 1) // 8
+                del lo[lcp + 1 :], hi[lcp + 1 :]
+        return lo, hi
 
     def verify_locus(self, locus: Locus, pattern: bytes) -> Locus | None:
         """Check a candidate locus byte-for-byte against stored text.

@@ -161,3 +161,24 @@ def test_query_malformed_fastq(built, capsys, tmp_path):
     code = main(["query", "--index", str(built), "--reads", str(reads), "-k", "2"])
     assert code == 1
     assert "expected '@' header" in capsys.readouterr().err
+
+
+def test_query_unwritable_tsv_is_one_line_error(built, capsys, tmp_path):
+    target = tmp_path / "no" / "such" / "dir" / "rows.tsv"
+    code = main(
+        ["query", "--index", str(built), "--pattern", "TAG", "-k", "3", "--tsv", str(target)]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(target) in captured.err
+
+
+def test_query_non_latin1_pattern_is_one_line_error(built, capsys):
+    code = main(["query", "--index", str(built), "--pattern", "GATΩ", "-k", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "latin-1" in captured.err

@@ -147,3 +147,50 @@ def test_descent_budget(worked_index):
             kmers = len(results)
             assert stats.grid_queries <= 2 * k * kmers
             assert results == classify(worked_index, pattern, k)
+
+
+def _assert_matches_reference(tree, genomes, pattern, ks):
+    index = build_index(tree, genomes)
+    for k in ks:
+        got = classify(index, pattern, k)
+        assert got == naive_classify(tree, genomes, pattern, k), (pattern, k)
+    return index
+
+
+def test_early_exits_on_one_genome():
+    # leaves[0] == leaves[-1]: both sides stop at their first hit.
+    tree = parse_newick("G;")
+    genomes = [GenomeRecord("G", b"ACGTTGCAAC")]
+    for pattern in (b"ACGTTGCAAC", b"GTTGCATTTACG", b"CAACGT"):
+        _assert_matches_reference(tree, genomes, pattern, range(1, len(pattern) + 1))
+
+
+def test_early_exits_on_identical_genomes():
+    names = ["A", "B", "C", "D", "E"]
+    tree = parse_newick("((A,B),(C,(D,E)));")
+    genomes = [GenomeRecord(name, b"GATTACAGATTTACA") for name in names]
+    pattern = b"TTACAGATTTACAGG"
+    index = _assert_matches_reference(tree, genomes, pattern, range(1, len(pattern) + 1))
+    for r in classify(index, pattern, 5):
+        assert r.answer in (None, tree.root)
+    assert side_query(index, index.forward, b"ACAG") == tree.leaves[0]
+    assert side_query(index, index.reverse, b"ACAG") == tree.leaves[-1]
+
+
+def test_kmer_only_in_leftmost_or_rightmost_genome():
+    tree = parse_newick("(L,(M,R));")
+    genomes = [
+        GenomeRecord("L", b"CCCCGGGGAC"),
+        GenomeRecord("M", b"ACACACACAC"),
+        GenomeRecord("R", b"TTTTAAAAAC"),
+    ]
+    left, right = tree.leaves[0], tree.leaves[-1]
+    index = build_index(tree, genomes)
+    assert side_query(index, index.forward, b"CGGG") == left
+    assert side_query(index, index.reverse, b"CGGG") == left
+    assert side_query(index, index.forward, b"TAAA") == right
+    assert side_query(index, index.reverse, b"TAAA") == right
+    assert side_query(index, index.forward, b"AC") == left
+    assert side_query(index, index.reverse, b"AC") == right
+    for pattern in (b"CCGGGGA", b"TTAAAAA", b"GGGACACTTTT", b"CCCCGGGGAC", b"TTTTAAAAAC"):
+        _assert_matches_reference(tree, genomes, pattern, range(1, len(pattern) + 1))

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from phylokmer.engine import reversed_suffix_access
 from phylokmer.tries import build_trie
 
 PREFIX_STRINGS = [b"", b"AGAT", b"AT", b"ATACAT", b"ATTACAT", b"CAT", b"TACAT", b"TTACAT"]
@@ -168,3 +169,84 @@ def test_text_access_extraction_matches_inline_storage():
                 assert b is None
             else:
                 assert b is not None and a.rank_interval == b.rank_interval
+
+
+def _assert_intervals_match_verified_descents(trie, pattern):
+    lo, hi = trie.prefix_intervals(pattern)
+    assert len(lo) == len(hi) <= len(pattern) + 1
+    for length in range(len(pattern) + 1):
+        want = descend_verified(trie, pattern[:length])
+        if want is None:
+            assert length >= len(lo), (pattern, length)
+        else:
+            assert length < len(lo), (pattern, length)
+            assert (lo[length], hi[length]) == want.rank_interval
+
+
+def test_prefix_intervals_match_descend_and_verify():
+    rng = random.Random(24)
+    for trial in range(300):
+        if trial == 0:
+            strings = []
+        else:
+            # Short strings over a small alphabet give many prefix pairs
+            # (terminal marks) and one-string sets when the pool is small.
+            pool = {
+                bytes(rng.choice(b"ACG") for _ in range(rng.randint(0, 12)))
+                for _ in range(rng.randint(1, 20))
+            }
+            strings = sorted(pool)
+        trie = build_trie(strings)
+        for _ in range(15):
+            if strings and rng.random() < 0.7:
+                # Extend a set string, then mismatch somewhere inside it, so
+                # descents die mid-edge and every longer length must die too.
+                tail = bytes(rng.choice(b"ACG") for _ in range(rng.randint(0, 3)))
+                probe = bytearray(rng.choice(strings) + tail)
+                if probe and rng.random() < 0.6:
+                    probe[rng.randrange(len(probe))] = rng.choice(b"ACGT")
+                probe = bytes(probe)
+            else:
+                probe = bytes(rng.choice(b"ACGT") for _ in range(rng.randint(0, 10)))
+            _assert_intervals_match_verified_descents(trie, probe)
+
+
+def test_prefix_intervals_fixed_cases():
+    assert build_trie([]).prefix_intervals(b"ACG") == ([], [])
+    one = build_trie([b"GATTACA"])
+    assert one.prefix_intervals(b"GATXACA") == ([1, 1, 1, 1], [1, 1, 1, 1])
+    assert one.prefix_intervals(b"") == ([1], [1])
+    nested = build_trie([b"A", b"AB", b"ABC"])
+    assert nested.prefix_intervals(b"ABCD") == ([1, 1, 2, 3], [3, 3, 3, 3])
+    # Mismatch deep inside the edge "TACAT" leading to "ATTACAT": lengths
+    # from the mismatch on die even though the blind descent skips past it.
+    trie = build_trie(PREFIX_STRINGS)
+    lo, hi = trie.prefix_intervals(b"ATTACXT")
+    assert list(zip(lo, hi)) == [(1, 8), (2, 5), (3, 5), (5, 5), (5, 5), (5, 5)]
+
+
+def test_prefix_intervals_through_reversed_suffix_access():
+    # The engine's extractor for suffix-set strings: each is stored as the
+    # (end, length) of one occurrence in the text and read back reversed.
+    rng = random.Random(25)
+    for _ in range(60):
+        text = bytes(rng.choice(b"ACG") for _ in range(rng.randint(1, 60)))
+        where = {}
+        for _ in range(rng.randint(1, 15)):
+            end = rng.randint(0, len(text))
+            length = rng.randint(0, min(end, 10))
+            where.setdefault(text[end - length : end], (end, length))
+        suffixes = sorted(where)
+        order = sorted(range(len(suffixes)), key=lambda r: suffixes[r][::-1])
+        reversed_strings = [suffixes[r][::-1] for r in order]
+        refs = [where[suffixes[r]] for r in order]
+        via_text = build_trie(reversed_strings, reversed_suffix_access(text, refs))
+        plain = build_trie(reversed_strings)
+        for _ in range(15):
+            end = rng.randint(0, len(text))
+            probe = bytearray(text[max(0, end - 12) : end][::-1])
+            if probe and rng.random() < 0.5:
+                probe[rng.randrange(len(probe))] = rng.choice(b"ACGT")
+            probe = bytes(probe)
+            _assert_intervals_match_verified_descents(via_text, probe)
+            assert via_text.prefix_intervals(probe) == plain.prefix_intervals(probe)
