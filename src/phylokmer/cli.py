@@ -72,12 +72,12 @@ def cmd_build(args: argparse.Namespace) -> int:
     fwd, rev = index.forward, index.reverse
     print(f"genomes: {len(tree.leaves)}  vertices: {tree.vertex_count}  text: {len(fwd.text)} bytes")
     print(
-        f"forward: phrases={fwd.parse.z} suffixes={len(fwd.suffix_set)} "
-        f"prefixes={len(fwd.prefix_set)} grid_points={len(fwd.grid.points)}"
+        f"forward: phrases={fwd.parse.z} suffixes={len(fwd.suffix_refs)} "
+        f"prefixes={len(fwd.prefix_refs)} grid_points={len(fwd.grid.points)}"
     )
     print(
-        f"reverse: phrases={rev.parse.z} suffixes={len(rev.suffix_set)} "
-        f"prefixes={len(rev.prefix_set)} grid_points={len(rev.grid.points)}"
+        f"reverse: phrases={rev.parse.z} suffixes={len(rev.suffix_refs)} "
+        f"prefixes={len(rev.prefix_refs)} grid_points={len(rev.grid.points)}"
     )
     print(f"wrote {args.out}")
     return 0

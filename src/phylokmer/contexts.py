@@ -8,32 +8,33 @@ ranks are the grid coordinates downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .lz77 import Lz77Parse
 from .model import Concatenation, genome_of_position
 
 
 @dataclass(frozen=True)
-class SuffixSet:
+class _RankedStrings:
+    strings: tuple[bytes, ...]
+    rank: dict[bytes, int] = field(compare=False)
+
+    @classmethod
+    def of(cls, strings: Iterable[bytes]):
+        """The set of already sorted, distinct ``strings``, ranked 1-based."""
+        strings = tuple(strings)
+        return cls(strings=strings, rank={s: i + 1 for i, s in enumerate(strings)})
+
+    def __len__(self) -> int:
+        return len(self.strings)
+
+
+class SuffixSet(_RankedStrings):
     """Distinct non-empty maximal phrase suffixes, co-lex sorted, ranks 1-based."""
 
-    strings: tuple[bytes, ...]
-    rank: dict[bytes, int] = field(compare=False)
 
-    def __len__(self) -> int:
-        return len(self.strings)
-
-
-@dataclass(frozen=True)
-class PrefixSet:
+class PrefixSet(_RankedStrings):
     """Retained maximal boundary prefixes (empty string included), lex sorted."""
-
-    strings: tuple[bytes, ...]
-    rank: dict[bytes, int] = field(compare=False)
-
-    def __len__(self) -> int:
-        return len(self.strings)
 
 
 @dataclass(frozen=True)
@@ -65,17 +66,6 @@ def max_prefix_at(text: bytes, pos: int, sentinel: int = 0x24) -> bytes:
     return text[pos:] if cut < 0 else text[pos:cut]
 
 
-def _colex_sorted(strings: set[bytes]) -> tuple[bytes, ...]:
-    return tuple(sorted(strings, key=lambda s: s[::-1]))
-
-
-def candidate_prefixes(concatenation: Concatenation, parse: Lz77Parse) -> tuple[bytes, ...]:
-    """Distinct maximal prefixes at every boundary (position 0 and end included), lex sorted."""
-    text = concatenation.text
-    sentinel = concatenation.sentinel
-    return tuple(sorted({max_prefix_at(text, b, sentinel) for b in parse.boundary_positions}))
-
-
 def build_context_sets(
     concatenation: Concatenation, parse: Lz77Parse
 ) -> tuple[SuffixSet, PrefixSet, list[BoundaryContext]]:
@@ -96,8 +86,7 @@ def build_context_sets(
             text[phrase.start : end], sentinel
         )
 
-    suffixes = _colex_sorted({s for s in suffix_at.values() if s})
-    suffix_rank = {s: i + 1 for i, s in enumerate(suffixes)}
+    suffixes = SuffixSet.of(sorted({s for s in suffix_at.values() if s}, key=lambda s: s[::-1]))
 
     retained: set[bytes] = set()
     contexts: list[BoundaryContext] = []
@@ -114,13 +103,7 @@ def build_context_sets(
             BoundaryContext(boundary_pos=boundary, suffix=suffix, prefix=prefix, genome=genome)
         )
 
-    prefixes = tuple(sorted(retained))
-    prefix_rank = {p: i + 1 for i, p in enumerate(prefixes)}
-    return (
-        SuffixSet(strings=suffixes, rank=suffix_rank),
-        PrefixSet(strings=prefixes, rank=prefix_rank),
-        contexts,
-    )
+    return suffixes, PrefixSet.of(sorted(retained)), contexts
 
 
 def grid_points(

@@ -33,27 +33,38 @@ from .model import (
 )
 from .tries import CompactTrie, TextAccess, build_trie
 
-INDEX_FORMAT_VERSION = 1
-
 
 @dataclass(frozen=True)
 class SideIndex:
-    """One direction of the index: parse, context tries, and labeled grid.
+    """One direction of the index: parse, context refs, tries, and labeled grid.
 
-    ``text`` is the (possibly reversed) concatenation.  ``suffix_trie`` is
-    built over the reversed suffix-set strings, so descending with a
-    reversed k-mer fragment yields the co-lex rank range of suffixes ending
-    with that fragment; ``prefix_trie`` covers the retained prefixes.
+    ``text`` is the (possibly reversed) concatenation.  Context strings live
+    only as text refs: ``suffix_refs`` holds (end, length) per suffix-set
+    string in co-lex order, ``prefix_refs`` (start, length) per retained
+    prefix in lex order; list position + 1 is the string's rank and grid
+    coordinate.  ``suffix_trie`` is built over the reversed suffix strings,
+    so descending with a reversed k-mer fragment yields the co-lex rank range
+    of suffixes ending with that fragment; ``prefix_trie`` covers the
+    prefixes.  ``suffix_set`` and ``prefix_set`` read the strings back from
+    the refs on each access.
     """
 
     text: bytes
     parse: lz77_mod.Lz77Parse
-    suffix_set: contexts_mod.SuffixSet
-    prefix_set: contexts_mod.PrefixSet
+    suffix_refs: tuple[tuple[int, int], ...]
+    prefix_refs: tuple[tuple[int, int], ...]
     suffix_trie: CompactTrie
     prefix_trie: CompactTrie
     grid: ContextGrid
     is_reverse: bool
+
+    @property
+    def suffix_set(self) -> contexts_mod.SuffixSet:
+        return contexts_mod.SuffixSet.of(self.text[end - n : end] for end, n in self.suffix_refs)
+
+    @property
+    def prefix_set(self) -> contexts_mod.PrefixSet:
+        return contexts_mod.PrefixSet.of(self.text[pos : pos + n] for pos, n in self.prefix_refs)
 
 
 @dataclass(frozen=True)
@@ -65,7 +76,6 @@ class KmerIndex:
     reverse: SideIndex
     lca: LcaStructure
     sentinel: int
-    version: int = INDEX_FORMAT_VERSION
 
 
 @dataclass(frozen=True)
@@ -92,26 +102,6 @@ class QueryStats:
     grid_queries: int = 0
 
 
-def _suffix_occurrence_refs(
-    side_contexts: Sequence[contexts_mod.BoundaryContext], strings: Sequence[bytes]
-) -> tuple[tuple[int, int], ...]:
-    """(end position, length) of one occurrence per suffix-set string."""
-    where = {}
-    for ctx in side_contexts:
-        where.setdefault(ctx.suffix, ctx.boundary_pos)
-    return tuple((where[s], len(s)) for s in strings)
-
-
-def _prefix_occurrence_refs(
-    side_contexts: Sequence[contexts_mod.BoundaryContext], strings: Sequence[bytes]
-) -> tuple[tuple[int, int], ...]:
-    """(start position, length) of one occurrence per prefix-set string."""
-    where = {}
-    for ctx in side_contexts:
-        where.setdefault(ctx.prefix, ctx.boundary_pos)
-    return tuple((where[s], len(s)) for s in strings)
-
-
 def reversed_suffix_access(text: bytes, refs: Sequence[tuple[int, int]]) -> TextAccess:
     """Extractor for reversed suffix-set strings stored as (end, length) text refs."""
 
@@ -134,37 +124,55 @@ def prefix_access(text: bytes, refs: Sequence[tuple[int, int]]) -> TextAccess:
     return access
 
 
-def build_side(
-    concatenation: Concatenation, leaf_vertices: Sequence[int], is_reverse: bool
+def assemble_side(
+    text: bytes,
+    parse: lz77_mod.Lz77Parse,
+    suffix_refs: tuple[tuple[int, int], ...],
+    prefix_refs: tuple[tuple[int, int], ...],
+    points: Iterable[tuple[int, int, int]],
+    is_reverse: bool,
 ) -> SideIndex:
-    """Parse one text orientation and assemble its tries and grid.
+    """Build the tries and the grid of one side from its context refs.
 
-    ``leaf_vertices[ordinal - 1]`` maps this text's genome ordinals to tree
-    vertex numbers; the grid aggregates labels with min on the forward side
-    and max on the reverse side.
+    Shared by ``build_side`` and by index loading.  The refs must be in
+    rank order (see SideIndex); ``points`` are (suffix rank, prefix rank,
+    label), aggregated with min on the forward side and max on the reverse.
     """
-    parse = lz77_mod.lz77_parse(concatenation.text)
-    suffix_set, prefix_set, ctxs = contexts_mod.build_context_sets(concatenation, parse)
-    aggregate = "max" if is_reverse else "min"
-    points = contexts_mod.grid_points(ctxs, suffix_set, prefix_set, aggregate, leaf_vertices)
-
-    text = concatenation.text
-    suffix_refs = _suffix_occurrence_refs(ctxs, suffix_set.strings)
-    prefix_refs = _prefix_occurrence_refs(ctxs, prefix_set.strings)
-    reversed_suffixes = sorted(s[::-1] for s in suffix_set.strings)
-    suffix_trie = build_trie(reversed_suffixes, reversed_suffix_access(text, suffix_refs))
-    prefix_trie = build_trie(list(prefix_set.strings), prefix_access(text, prefix_refs))
-
+    # Co-lex order of the suffixes is lex order of their reversals.
+    reversed_suffixes = [text[end - n : end][::-1] for end, n in suffix_refs]
+    prefixes = [text[pos : pos + n] for pos, n in prefix_refs]
     return SideIndex(
         text=text,
         parse=parse,
-        suffix_set=suffix_set,
-        prefix_set=prefix_set,
-        suffix_trie=suffix_trie,
-        prefix_trie=prefix_trie,
-        grid=ContextGrid(points, aggregate),
+        suffix_refs=suffix_refs,
+        prefix_refs=prefix_refs,
+        suffix_trie=build_trie(reversed_suffixes, reversed_suffix_access(text, suffix_refs)),
+        prefix_trie=build_trie(prefixes, prefix_access(text, prefix_refs)),
+        grid=ContextGrid(points, "max" if is_reverse else "min"),
         is_reverse=is_reverse,
     )
+
+
+def build_side(
+    concatenation: Concatenation, leaf_vertices: Sequence[int], is_reverse: bool
+) -> SideIndex:
+    """Parse one text orientation, derive its contexts, and assemble the side.
+
+    ``leaf_vertices[ordinal - 1]`` maps this text's genome ordinals to tree
+    vertex numbers.
+    """
+    text = concatenation.text
+    parse = lz77_mod.lz77_parse(text)
+    suffix_set, prefix_set, ctxs = contexts_mod.build_context_sets(concatenation, parse)
+    aggregate = "max" if is_reverse else "min"
+    points = contexts_mod.grid_points(ctxs, suffix_set, prefix_set, aggregate, leaf_vertices)
+    # Every ranked string occurs at a context's boundary: suffixes end there, prefixes start there.
+    suffix_refs = [(0, 0)] * len(suffix_set)
+    prefix_refs = [(0, 0)] * len(prefix_set)
+    for ctx in ctxs:
+        suffix_refs[suffix_set.rank[ctx.suffix] - 1] = (ctx.boundary_pos, len(ctx.suffix))
+        prefix_refs[prefix_set.rank[ctx.prefix] - 1] = (ctx.boundary_pos, len(ctx.prefix))
+    return assemble_side(text, parse, tuple(suffix_refs), tuple(prefix_refs), points, is_reverse)
 
 
 def build_index(

@@ -82,14 +82,6 @@ def lz77_parse(text: bytes) -> Lz77Parse:
     return Lz77Parse(phrases=tuple(phrases), boundary_positions=tuple(boundaries))
 
 
-def phrase_texts(parse: Lz77Parse, text: bytes) -> list[bytes]:
-    """The byte content of each phrase, sliced from the original text."""
-    out = []
-    for phrase in parse.phrases:
-        out.append(text[phrase.start : phrase.start + phrase.length])
-    return out
-
-
 def reconstruct(parse: Lz77Parse) -> bytes:
     """Decode the parse back into the original text.
 

@@ -1,247 +1,199 @@
-"""Binary index file format, version 1.
+"""Binary index file format, version 2.
 
-Little-endian throughout.  Layout: magic, format version, sentinel byte,
-tree section, then one section per side (text, phrases, suffix and prefix
-occurrence references, grid points).  Search structures that rebuild
-deterministically in linear-ish time from the stored data (tries, grid
-decomposition, LCA tables) are reconstructed on load rather than stored.
+Little-endian throughout.  Layout: magic, format version (u16), sentinel
+byte, tree section, the forward text (stored once: the reverse side's text
+is its reversal), then per side the phrase records, the suffix refs
+(end, length) in co-lex order, the prefix refs (start, length) in lex order
+and the grid points, and last a CRC32 of every byte before it.  A section
+is a u32 row count followed by one ``struct``-packed column per field.
+Tries, grid decomposition and LCA tables are rebuilt on load by the same
+``engine.assemble_side`` the build uses.
+
+``save_index`` writes a temporary file next to the target, fsyncs it and
+renames it over the target, so a failed save leaves the previous file as it
+was.  ``load_index`` checks the magic, the version and the CRC, then the
+structure: a tree with one root and no cycle, UTF-8 labels, refs inside the
+text, grid coordinates within the ref counts and grid labels that are
+leaves.  Any failure raises IndexFileError.  Version 1 files are rejected
+("unsupported format version 1") and must be rebuilt.
 """
 from __future__ import annotations
 
-import io
+import contextlib
+import os
 import struct
-from typing import BinaryIO
+import zlib
 
-from .contexts import PrefixSet, SuffixSet
-from .engine import INDEX_FORMAT_VERSION, KmerIndex, SideIndex, prefix_access, reversed_suffix_access
-from .grid import ContextGrid
+from .engine import KmerIndex, SideIndex, assemble_side
+from .grid import ContextGrid  # noqa: F401 -- perfbench/tracing.py wraps store.ContextGrid
 from .lca import build_lca
 from .lz77 import Lz77Parse, Phrase
 from .model import PhyloTree
-from .tries import build_trie
+from .tries import build_trie  # noqa: F401 -- perfbench/tracing.py wraps store.build_trie
 
 MAGIC = b"PKMRIDX\x00"
+FORMAT_VERSION = 2
 
 _NO_LITERAL = 0x0100
+_NO_LABEL = 0xFFFF
 
 
 class IndexFileError(ValueError):
-    """Unreadable or incompatible index file."""
+    """Unreadable, damaged or incompatible index file."""
 
 
-def _write_u8(out: BinaryIO, value: int) -> None:
-    out.write(struct.pack("<B", value))
+def _section(out: list[bytes], codes: str, rows) -> None:
+    """Append a row count, then one column per struct code in ``codes``."""
+    out.append(struct.pack("<I", len(rows)))
+    # zip(*rows) of no rows yields no columns, not empty ones
+    for code, column in zip(codes, list(zip(*rows)) or [()] * len(codes)):
+        out.append(struct.pack(f"<{len(column)}{code}", *column))
 
 
-def _write_u16(out: BinaryIO, value: int) -> None:
-    out.write(struct.pack("<H", value))
+class _Reader:
+    def __init__(self, data: bytes, pos: int, end: int):
+        self.data = data
+        self.pos = pos
+        self.end = end
+
+    def take(self, size: int) -> bytes:
+        if self.pos + size > self.end:
+            raise IndexFileError("truncated index data")
+        self.pos += size
+        return self.data[self.pos - size : self.pos]
+
+    def section(self, codes: str) -> list[tuple[int, ...]]:
+        (count,) = struct.unpack("<I", self.take(4))
+        return [
+            struct.unpack(f"<{count}{code}", self.take(count * struct.calcsize(code)))
+            for code in codes
+        ]
 
 
-def _write_u32(out: BinaryIO, value: int) -> None:
-    out.write(struct.pack("<I", value))
+def _check(ok: bool, problem: str) -> None:
+    if not ok:
+        raise IndexFileError(problem)
 
 
-def _write_u64(out: BinaryIO, value: int) -> None:
-    out.write(struct.pack("<Q", value))
+def _write_tree(out: list[bytes], tree: PhyloTree) -> None:
+    labels = [None if label is None else label.encode("utf-8") for label in tree.labels[1:]]
+    if any(label is not None and len(label) >= _NO_LABEL for label in labels):
+        raise ValueError("vertex label too long")
+    sizes = [_NO_LABEL if label is None else len(label) for label in labels]
+    _section(out, "IH", list(zip(tree.parent[1:], sizes)))
+    out.extend(label for label in labels if label)
 
 
-def _read(src: BinaryIO, size: int) -> bytes:
-    data = src.read(size)
-    if len(data) != size:
-        raise IndexFileError("truncated index file")
-    return data
-
-
-def _read_u8(src: BinaryIO) -> int:
-    return struct.unpack("<B", _read(src, 1))[0]
-
-
-def _read_u16(src: BinaryIO) -> int:
-    return struct.unpack("<H", _read(src, 2))[0]
-
-
-def _read_u32(src: BinaryIO) -> int:
-    return struct.unpack("<I", _read(src, 4))[0]
-
-
-def _read_u64(src: BinaryIO) -> int:
-    return struct.unpack("<Q", _read(src, 8))[0]
-
-
-def _write_tree(out: BinaryIO, tree: PhyloTree) -> None:
-    count = tree.vertex_count
-    _write_u32(out, count)
-    for v in range(1, count + 1):
-        _write_u32(out, tree.parent[v])
-    for v in range(1, count + 1):
-        label = tree.labels[v]
-        if label is None:
-            _write_u16(out, 0xFFFF)
-        else:
-            encoded = label.encode("utf-8")
-            if len(encoded) >= 0xFFFF:
-                raise ValueError(f"label too long on vertex {v}")
-            _write_u16(out, len(encoded))
-            out.write(encoded)
-
-
-def _read_tree(src: BinaryIO) -> PhyloTree:
-    count = _read_u32(src)
-    if count == 0:
-        raise IndexFileError("index file holds an empty tree")
-    parent = [0] * (count + 1)
-    for v in range(1, count + 1):
-        parent[v] = _read_u32(src)
-    labels: list[str | None] = [None] * (count + 1)
-    for v in range(1, count + 1):
-        size = _read_u16(src)
-        if size != 0xFFFF:
-            labels[v] = _read(src, size).decode("utf-8")
+def _read_tree(src: _Reader) -> PhyloTree:
+    parents, sizes = src.section("IH")
+    count = len(parents)
+    labels = [None] + [None if n == _NO_LABEL else src.take(n).decode("utf-8") for n in sizes]
     children: list[list[int]] = [[] for _ in range(count + 1)]
-    root = 0
-    for v in range(1, count + 1):
-        if parent[v] == 0:
-            if root:
-                raise IndexFileError("index file tree has two roots")
-            root = v
-        else:
-            children[parent[v]].append(v)
-    if not root:
-        raise IndexFileError("index file tree has no root")
+    for v, p in enumerate(parents, 1):
+        _check(p <= count, f"vertex {v} has parent {p} outside 0..{count}")
+        children[p].append(v)
+    roots, children[0] = children[0], []
+    _check(len(roots) == 1, f"tree has {len(roots)} roots")
+    reached = list(roots)
+    for v in reached:  # grows while iterated: a breadth-first walk from the root
+        reached.extend(children[v])
+    _check(len(reached) == count, "tree has a cycle")
     # In-order numbering makes ascending child numbers the original order.
-    leaves = tuple(v for v in range(1, count + 1) if not children[v])
     return PhyloTree(
-        parent=tuple(parent),
+        parent=(0, *parents),
         children=tuple(tuple(c) for c in children),
         labels=tuple(labels),
-        root=root,
-        leaves=leaves,
+        root=roots[0],
+        leaves=tuple(v for v in range(1, count + 1) if not children[v]),
     )
 
 
-def _write_side(out: BinaryIO, side: SideIndex) -> None:
-    _write_u64(out, len(side.text))
-    out.write(side.text)
-    _write_u32(out, len(side.parse.phrases))
-    for phrase in side.parse.phrases:
-        _write_u64(out, phrase.start)
-        _write_u64(out, phrase.match_len)
-        _write_u64(out, 0 if phrase.source is None else phrase.source + 1)
-        _write_u16(out, _NO_LITERAL if phrase.literal is None else phrase.literal)
-    text = side.text
-    _write_u32(out, len(side.suffix_set.strings))
-    for s in side.suffix_set.strings:
-        end = text.find(s) + len(s)
-        _write_u64(out, end)
-        _write_u32(out, len(s))
-    _write_u32(out, len(side.prefix_set.strings))
-    for p in side.prefix_set.strings:
-        _write_u64(out, text.find(p) if p else 0)
-        _write_u32(out, len(p))
-    _write_u32(out, len(side.grid.points))
-    for x, y, label in side.grid.points:
-        _write_u32(out, x)
-        _write_u32(out, y)
-        _write_u32(out, label)
-
-
-def _read_side(src: BinaryIO, is_reverse: bool) -> SideIndex:
-    text = _read(src, _read_u64(src))
-    phrases = []
-    for _ in range(_read_u32(src)):
-        start = _read_u64(src)
-        match_len = _read_u64(src)
-        source = _read_u64(src)
-        literal = _read_u16(src)
-        phrases.append(
-            Phrase(
-                start=start,
-                match_len=match_len,
-                source=None if source == 0 else source - 1,
-                literal=None if literal == _NO_LITERAL else literal,
-            )
+def _write_side(out: list[bytes], side: SideIndex) -> None:
+    phrases = [
+        (
+            p.start,
+            p.match_len,
+            0 if p.source is None else p.source + 1,
+            _NO_LITERAL if p.literal is None else p.literal,
         )
-    boundaries = tuple(p.start for p in phrases) + (len(text),)
-    parse = Lz77Parse(phrases=tuple(phrases), boundary_positions=boundaries)
+        for p in side.parse.phrases
+    ]
+    _section(out, "QQQH", phrases)
+    _section(out, "QI", side.suffix_refs)
+    _section(out, "QI", side.prefix_refs)
+    _section(out, "III", side.grid.points)
 
-    suffix_refs = []
-    suffix_strings = []
-    for _ in range(_read_u32(src)):
-        end = _read_u64(src)
-        size = _read_u32(src)
-        suffix_refs.append((end, size))
-        suffix_strings.append(text[end - size : end])
-    prefix_refs = []
-    prefix_strings = []
-    for _ in range(_read_u32(src)):
-        pos = _read_u64(src)
-        size = _read_u32(src)
-        prefix_refs.append((pos, size))
-        prefix_strings.append(text[pos : pos + size])
 
-    points = []
-    for _ in range(_read_u32(src)):
-        x = _read_u32(src)
-        y = _read_u32(src)
-        label = _read_u32(src)
-        points.append((x, y, label))
-
-    suffix_set = SuffixSet(
-        strings=tuple(suffix_strings),
-        rank={s: i + 1 for i, s in enumerate(suffix_strings)},
+def _read_side(src: _Reader, text: bytes, leaves: set[int], is_reverse: bool) -> SideIndex:
+    starts, match_lens, sources, literals = src.section("QQQH")
+    phrases = tuple(
+        Phrase(
+            start=start,
+            match_len=match_len,
+            source=source - 1 if source else None,
+            literal=None if literal == _NO_LITERAL else literal,
+        )
+        for start, match_len, source, literal in zip(starts, match_lens, sources, literals)
     )
-    prefix_set = PrefixSet(
-        strings=tuple(prefix_strings),
-        rank={p: i + 1 for i, p in enumerate(prefix_strings)},
+    parse = Lz77Parse(phrases=phrases, boundary_positions=(*starts, len(text)))
+    suffix_refs = tuple(zip(*src.section("QI")))
+    prefix_refs = tuple(zip(*src.section("QI")))
+    _check(all(n <= end <= len(text) for end, n in suffix_refs), "suffix ref outside the text")
+    _check(all(pos + n <= len(text) for pos, n in prefix_refs), "prefix ref outside the text")
+    xs, ys, labels = src.section("III")
+    _check(
+        all(1 <= x <= len(suffix_refs) for x in xs) and all(1 <= y <= len(prefix_refs) for y in ys),
+        "grid point outside the ref ranks",
     )
-    reversed_suffixes = sorted(s[::-1] for s in suffix_strings)
-    aggregate = "max" if is_reverse else "min"
-    return SideIndex(
-        text=text,
-        parse=parse,
-        suffix_set=suffix_set,
-        prefix_set=prefix_set,
-        suffix_trie=build_trie(reversed_suffixes, reversed_suffix_access(text, suffix_refs)),
-        prefix_trie=build_trie(prefix_strings, prefix_access(text, prefix_refs)),
-        grid=ContextGrid(points, aggregate),
-        is_reverse=is_reverse,
-    )
+    _check(leaves.issuperset(labels), "grid label that is not a leaf")
+    return assemble_side(text, parse, suffix_refs, prefix_refs, zip(xs, ys, labels), is_reverse)
 
 
-def save_index(index: KmerIndex, path: str) -> None:
-    """Write the index to ``path`` in format version 1."""
-    out = io.BytesIO()
-    out.write(MAGIC)
-    _write_u16(out, index.version)
-    _write_u8(out, index.sentinel)
+def save_index(index: KmerIndex, path) -> None:
+    """Write the index to ``path`` in format version 2, atomically."""
+    out = [MAGIC, struct.pack("<HB", FORMAT_VERSION, index.sentinel)]
     _write_tree(out, index.tree)
+    out += [struct.pack("<Q", len(index.forward.text)), index.forward.text]
     _write_side(out, index.forward)
     _write_side(out, index.reverse)
-    with open(path, "wb") as fh:
-        fh.write(out.getvalue())
+    payload = b"".join(out)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+            fh.write(struct.pack("<I", zlib.crc32(payload)))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
-def load_index(path: str) -> KmerIndex:
-    """Read an index written by save_index; errors on foreign or newer files."""
+def load_index(path) -> KmerIndex:
+    """Read an index written by save_index; IndexFileError if foreign, damaged or of another version."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise IndexFileError(f"{path}: not an index file (bad magic)")
-        version = _read_u16(fh)
-        if version != INDEX_FORMAT_VERSION:
-            raise IndexFileError(f"{path}: unsupported format version {version}")
-        sentinel = _read_u8(fh)
-        tree = _read_tree(fh)
-        forward = _read_side(fh, is_reverse=False)
-        reverse = _read_side(fh, is_reverse=True)
-        trailing = fh.read(1)
-        if trailing:
-            raise IndexFileError(f"{path}: trailing bytes after index data")
-    return KmerIndex(
-        tree=tree,
-        forward=forward,
-        reverse=reverse,
-        lca=build_lca(tree),
-        sentinel=sentinel,
-        version=version,
-    )
+        data = fh.read()
+    if data[: len(MAGIC)] != MAGIC:
+        raise IndexFileError(f"{path}: not an index file (bad magic)")
+    head = len(MAGIC) + 3
+    if len(data) < head + 4:
+        raise IndexFileError(f"{path}: truncated index file")
+    version, sentinel = struct.unpack_from("<HB", data, len(MAGIC))
+    if version != FORMAT_VERSION:
+        raise IndexFileError(f"{path}: unsupported format version {version}")
+    if zlib.crc32(memoryview(data)[:-4]) != struct.unpack_from("<I", data, len(data) - 4)[0]:
+        raise IndexFileError(f"{path}: checksum mismatch, the file is damaged")
+    src = _Reader(data, head, len(data) - 4)
+    try:
+        tree = _read_tree(src)
+        (size,) = struct.unpack("<Q", src.take(8))
+        text = src.take(size)
+        leaves = set(tree.leaves)
+        forward = _read_side(src, text, leaves, is_reverse=False)
+        reverse = _read_side(src, text[::-1], leaves, is_reverse=True)
+        _check(src.pos == src.end, "trailing bytes after index data")
+    except ValueError as exc:  # IndexFileError, bad UTF-8, or refs out of order
+        raise IndexFileError(f"{path}: {exc}") from None
+    return KmerIndex(tree=tree, forward=forward, reverse=reverse, lca=build_lca(tree), sentinel=sentinel)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 
-from phylokmer.model import GenomeRecord, PhyloTree, parse_newick
+from phylokmer.contexts import max_prefix_at
+from phylokmer.lz77 import Lz77Parse
+from phylokmer.model import Concatenation, GenomeRecord, PhyloTree, parse_newick
 
 FIXTURE_NEWICK = "((GATTACAT,(AGATACAT,GATACAT)),(GATTAGAT,GATTAGATA));"
 FIXTURE_NAMES = ("GATTACAT", "AGATACAT", "GATACAT", "GATTAGAT", "GATTAGATA")
@@ -47,6 +49,18 @@ def reference_lz77_boundaries(text: bytes) -> list[int]:
             i += best
     bounds.append(n)
     return bounds
+
+
+def phrase_texts(parse: Lz77Parse, text: bytes) -> list[bytes]:
+    """The byte content of each phrase, sliced from the original text."""
+    return [text[p.start : p.start + p.length] for p in parse.phrases]
+
+
+def candidate_prefixes(concatenation: Concatenation, parse: Lz77Parse) -> tuple[bytes, ...]:
+    """Distinct maximal prefixes at every boundary (position 0 and end included), lex sorted."""
+    text = concatenation.text
+    sentinel = concatenation.sentinel
+    return tuple(sorted({max_prefix_at(text, b, sentinel) for b in parse.boundary_positions}))
 
 
 def random_tree_newick(rng: random.Random, labels: list[str], multifurcating: bool = False) -> str:

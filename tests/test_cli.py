@@ -155,6 +155,18 @@ def test_query_rejects_damaged_index(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_query_rejects_bit_flipped_index_in_one_line(built, capsys):
+    data = bytearray(built.read_bytes())
+    data[-8] ^= 0x02  # a reverse-side grid label
+    built.write_bytes(data)
+    code = main(["query", "--index", str(built), "--pattern", "GATTACATAGATACAT", "-k", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "checksum" in captured.err
+
+
 def test_query_malformed_fastq(built, capsys, tmp_path):
     reads = tmp_path / "bad.fq"
     reads.write_text("not a fastq header\nACGT\n+\nIIII\n")

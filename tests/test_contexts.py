@@ -3,13 +3,12 @@ import random
 
 import pytest
 
-from helpers import FIXTURE_TEXT, fixture_genomes, fixture_tree, random_instance
+from helpers import FIXTURE_TEXT, candidate_prefixes, fixture_genomes, fixture_tree, random_instance
 from phylokmer.contexts import (
     BoundaryContext,
     PrefixSet,
     SuffixSet,
     build_context_sets,
-    candidate_prefixes,
     grid_points,
     max_prefix_at,
     max_suffix_of_phrase,

@@ -5,10 +5,11 @@ import pytest
 
 from helpers import (
     FIXTURE_TEXT,
+    phrase_texts,
     reference_longest_match,
     reference_lz77_boundaries,
 )
-from phylokmer.lz77 import lz77_parse, phrase_texts, reconstruct
+from phylokmer.lz77 import lz77_parse, reconstruct
 
 FIXTURE_PHRASES = [
     b"G",
