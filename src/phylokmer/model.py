@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import IO, Iterable
 
 DEFAULT_SENTINEL = b"$"
@@ -364,8 +365,7 @@ def genome_of_position(concatenation: Concatenation, pos: int) -> int | None:
         raise ValueError(f"position {pos} out of range 0..{text_len}")
     if pos == text_len:
         return concatenation.genome_count
-    starts = [s for s, _ in concatenation.genome_spans]
-    idx = bisect_right(starts, pos) - 1
+    idx = bisect_right(concatenation.genome_spans, pos, key=itemgetter(0)) - 1
     if idx >= 0:
         start, end = concatenation.genome_spans[idx]
         if start <= pos < end:

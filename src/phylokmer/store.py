@@ -12,10 +12,11 @@ Tries, grid decomposition and LCA tables are rebuilt on load by the same
 ``save_index`` writes a temporary file next to the target, fsyncs it and
 renames it over the target, so a failed save leaves the previous file as it
 was.  ``load_index`` checks the magic, the version and the CRC, then the
-structure: a tree with one root and no cycle, UTF-8 labels, refs inside the
-text, grid coordinates within the ref counts and grid labels that are
-leaves.  Any failure raises IndexFileError.  Version 1 files are rejected
-("unsupported format version 1") and must be rebuilt.
+structure: a tree with one root and no cycle, UTF-8 labels, phrases that
+tile the text and copy what their sources hold, refs inside the text, grid
+coordinates within the ref counts and grid labels that are leaves.  Any
+failure raises IndexFileError.  Version 1 files are rejected ("unsupported
+format version 1") and must be rebuilt.
 """
 from __future__ import annotations
 
@@ -124,8 +125,32 @@ def _write_side(out: list[bytes], side: SideIndex) -> None:
     _section(out, "III", side.grid.points)
 
 
+def _check_phrases(text: bytes, starts, match_lens, sources, literals) -> None:
+    """The phrases must tile the text, each copying an earlier source then its literal."""
+    n = len(text)
+    pos = 0
+    for start, length, source, literal in zip(starts, match_lens, sources, literals):
+        end = start + length
+        if literal == _NO_LITERAL:
+            ok = length > 0 and end == n
+        else:
+            ok = end < n and text[end] == literal
+        # source is stored + 1 with 0 for none: text[-1:-1] is empty like a zero-length match
+        if not (
+            ok
+            and start == pos
+            and (source == 0) == (length == 0)
+            and source <= start
+            and text[source - 1 : source - 1 + length] == text[start:end]
+        ):
+            raise IndexFileError(f"phrase at {start} does not match the text")
+        pos = end + (literal != _NO_LITERAL)
+    _check(pos == n, "phrases do not cover the text")
+
+
 def _read_side(src: _Reader, text: bytes, leaves: set[int], is_reverse: bool) -> SideIndex:
     starts, match_lens, sources, literals = src.section("QQQH")
+    _check_phrases(text, starts, match_lens, sources, literals)
     phrases = tuple(
         Phrase(
             start=start,

@@ -6,7 +6,7 @@ import zlib
 
 import pytest
 
-from helpers import random_instance, random_pattern
+from helpers import FIXTURE_NAMES, FIXTURE_TEXT, random_instance, random_pattern
 from phylokmer import build_concatenation, build_index, classify, load_index, save_index
 from phylokmer.contexts import build_context_sets
 from phylokmer.lz77 import lz77_parse
@@ -14,6 +14,11 @@ from phylokmer.model import reverse_concatenation
 from phylokmer.store import MAGIC, IndexFileError
 
 HEAD = len(MAGIC) + 3  # magic, u16 version, sentinel byte
+# The fixture's 12 forward phrase records, after 9 tree vertices (u32 parent,
+# u16 label size, label bytes), the u64 text size, the text and the u32 count.
+FORWARD_PHRASES = HEAD + 4 + 9 * 6 + sum(map(len, FIXTURE_NAMES)) + 8 + len(FIXTURE_TEXT) + 4
+LAST_FORWARD_START = FORWARD_PHRASES + 11 * 8
+LAST_FORWARD_SOURCE = FORWARD_PHRASES + 2 * 12 * 8 + 11 * 8
 
 
 def test_fixture_round_trip(worked_index, tmp_path):
@@ -117,6 +122,12 @@ def test_every_single_bit_flip_is_rejected(worked_index, tmp_path):
         (HEAD + 4, struct.pack("<I", 1), "cycle"),
         # First label byte, after 9 parents (u32) and 9 label sizes (u16).
         (HEAD + 4 + 9 * 6, b"\xff", "utf-8"),
+        # The last forward phrase moved far past the end of the text.
+        (LAST_FORWARD_START, struct.pack("<Q", 1_000_000), "phrase at 1000000"),
+        # Its source, 26 (stored as 27), shifted by 3: still before the phrase.
+        (LAST_FORWARD_SOURCE, struct.pack("<Q", 30), "phrase at 35"),
+        # Its source set to its own start, which copies itself trivially.
+        (LAST_FORWARD_SOURCE, struct.pack("<Q", 36), "phrase at 35"),
     ],
 )
 def test_crafted_files_with_valid_crc_are_rejected(worked_index, tmp_path, offset, patch, problem):
