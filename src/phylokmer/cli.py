@@ -42,14 +42,17 @@ def _read_fastq(stream: IO[str], path: str) -> Iterator[tuple[str, bytes]]:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    sentinel = args.sentinel.encode("latin-1")
+    try:
+        sentinel = args.sentinel.encode("latin-1")
+    except UnicodeEncodeError:
+        sentinel = b""
     if len(sentinel) != 1:
-        print("error: --sentinel must be a single character", file=sys.stderr)
+        print("error: --sentinel must be a single character, one byte in latin-1", file=sys.stderr)
         return 2
     try:
         with open(args.tree, "r", encoding="utf-8") as fh:
             tree = parse_newick(fh)
-    except (OSError, NewickError) as exc:
+    except (OSError, NewickError, UnicodeDecodeError) as exc:
         print(f"error: {args.tree}: {exc}", file=sys.stderr)
         return 1
     try:
@@ -65,7 +68,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         return 1
     try:
         save_index(index, args.out)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a label too long for the file
         print(f"error: {args.out}: {exc}", file=sys.stderr)
         return 1
 

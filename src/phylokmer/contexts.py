@@ -8,10 +8,10 @@ ranks are the grid coordinates downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .lz77 import Lz77Parse
-from .model import Concatenation, genome_of_position
+from .model import Concatenation
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,7 @@ class PrefixSet(_RankedStrings):
     """Retained maximal boundary prefixes (empty string included), lex sorted."""
 
 
-@dataclass(frozen=True)
-class BoundaryContext:
+class BoundaryContext(NamedTuple):
     """Context at one phrase boundary.
 
     ``genome`` is the 1-based ordinal of the genome containing position
@@ -52,58 +51,36 @@ class BoundaryContext:
     genome: int
 
 
-def max_suffix_of_phrase(phrase_text: bytes, sentinel: int = 0x24) -> bytes:
-    """Longest sentinel-free suffix: everything after the last sentinel."""
-    cut = phrase_text.rfind(sentinel)
-    return phrase_text if cut < 0 else phrase_text[cut + 1 :]
-
-
-def max_prefix_at(text: bytes, pos: int, sentinel: int = 0x24) -> bytes:
-    """Longest sentinel-free prefix of text[pos:]; empty at end of text."""
-    if not 0 <= pos <= len(text):
-        raise ValueError(f"position {pos} out of range 0..{len(text)}")
-    cut = text.find(sentinel, pos)
-    return text[pos:] if cut < 0 else text[pos:cut]
-
-
 def build_context_sets(
     concatenation: Concatenation, parse: Lz77Parse
 ) -> tuple[SuffixSet, PrefixSet, list[BoundaryContext]]:
     """Derive the suffix set, the retained prefix set, and all boundary contexts.
 
-    A candidate prefix is retained iff it occurs at some boundary whose
-    preceding phrase has a non-empty maximal suffix; boundary 0 has no
-    preceding phrase.  One BoundaryContext is emitted per boundary with a
-    non-empty preceding suffix.
+    One BoundaryContext is emitted per boundary whose preceding phrase has a
+    non-empty maximal suffix; boundary 0 has no preceding phrase.  A
+    candidate prefix is retained iff some emitted context holds it.  One
+    pass over consecutive boundaries: the genome holding the byte before a
+    boundary bounds both strings, the suffix by the genome's start and the
+    prefix by its end, and boundaries only grow, so its ordinal is found by
+    walking ``genome_spans`` forward.
     """
     text = concatenation.text
     sentinel = concatenation.sentinel
-
-    suffix_at: dict[int, bytes] = {}
-    for phrase in parse.phrases:
-        end = phrase.start + phrase.length
-        suffix_at[end] = max_suffix_of_phrase(
-            text[phrase.start : end], sentinel
-        )
-
-    suffixes = SuffixSet.of(sorted({s for s in suffix_at.values() if s}, key=lambda s: s[::-1]))
-
-    retained: set[bytes] = set()
+    spans = concatenation.genome_spans
+    bounds = parse.boundary_positions
     contexts: list[BoundaryContext] = []
-    for boundary in parse.boundary_positions:
-        suffix = suffix_at.get(boundary, b"")
-        if not suffix:
+    g = 0
+    for start, end in zip(bounds, bounds[1:]):
+        if text[end - 1] == sentinel:
             continue
-        prefix = max_prefix_at(text, boundary, sentinel)
-        retained.add(prefix)
-        genome = genome_of_position(concatenation, boundary - 1)
-        if genome is None:
-            raise ValueError(f"non-empty suffix at boundary {boundary} next to a sentinel")
+        while spans[g][1] < end:
+            g += 1
+        g_start, g_end = spans[g]
         contexts.append(
-            BoundaryContext(boundary_pos=boundary, suffix=suffix, prefix=prefix, genome=genome)
+            BoundaryContext(end, text[max(start, g_start) : end], text[end:g_end], g + 1)
         )
-
-    return suffixes, PrefixSet.of(sorted(retained)), contexts
+    suffixes = SuffixSet.of(sorted({c.suffix for c in contexts}, key=lambda s: s[::-1]))
+    return suffixes, PrefixSet.of(sorted({c.prefix for c in contexts})), contexts
 
 
 def grid_points(

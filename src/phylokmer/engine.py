@@ -124,55 +124,62 @@ def prefix_access(text: bytes, refs: Sequence[tuple[int, int]]) -> TextAccess:
     return access
 
 
-def assemble_side(
-    text: bytes,
+def build_side(
+    concatenation: Concatenation,
     parse: lz77_mod.Lz77Parse,
-    suffix_refs: tuple[tuple[int, int], ...],
-    prefix_refs: tuple[tuple[int, int], ...],
-    points: Iterable[tuple[int, int, int]],
+    leaf_vertices: Sequence[int],
     is_reverse: bool,
 ) -> SideIndex:
-    """Build the tries and the grid of one side from its context refs.
+    """Derive one side's contexts from its text and parse, then its tries and grid.
 
-    Shared by ``build_side`` and by index loading.  The refs must be in
-    rank order (see SideIndex); ``points`` are (suffix rank, prefix rank,
-    label), aggregated with min on the forward side and max on the reverse.
+    The one path for build and load.  ``leaf_vertices[ordinal - 1]`` maps
+    this text's genome ordinals to tree vertex numbers.
     """
+    text = concatenation.text
+    suffix_set, prefix_set, ctxs = contexts_mod.build_context_sets(concatenation, parse)
+    aggregate = "max" if is_reverse else "min"
+    points = contexts_mod.grid_points(ctxs, suffix_set, prefix_set, aggregate, leaf_vertices)
+    # Every ranked string occurs at a context's boundary: suffixes end there, prefixes start there.
+    ends = {ctx.suffix: ctx.boundary_pos for ctx in ctxs}
+    starts = {ctx.prefix: ctx.boundary_pos for ctx in ctxs}
+    suffix_refs = tuple((ends[s], len(s)) for s in suffix_set.strings)
+    prefix_refs = tuple((starts[p], len(p)) for p in prefix_set.strings)
     # Co-lex order of the suffixes is lex order of their reversals.
-    reversed_suffixes = [text[end - n : end][::-1] for end, n in suffix_refs]
-    prefixes = [text[pos : pos + n] for pos, n in prefix_refs]
+    reversed_suffixes = [s[::-1] for s in suffix_set.strings]
     return SideIndex(
         text=text,
         parse=parse,
         suffix_refs=suffix_refs,
         prefix_refs=prefix_refs,
         suffix_trie=build_trie(reversed_suffixes, reversed_suffix_access(text, suffix_refs)),
-        prefix_trie=build_trie(prefixes, prefix_access(text, prefix_refs)),
-        grid=ContextGrid(points, "max" if is_reverse else "min"),
+        prefix_trie=build_trie(prefix_set.strings, prefix_access(text, prefix_refs)),
+        grid=ContextGrid(points, aggregate),
         is_reverse=is_reverse,
     )
 
 
-def build_side(
-    concatenation: Concatenation, leaf_vertices: Sequence[int], is_reverse: bool
-) -> SideIndex:
-    """Parse one text orientation, derive its contexts, and assemble the side.
+def assemble_index(
+    tree: PhyloTree,
+    concatenation: Concatenation,
+    forward_parse: lz77_mod.Lz77Parse,
+    reverse_parse: lz77_mod.Lz77Parse,
+) -> KmerIndex:
+    """The index of a concatenation given the parses of its text and of the reversal.
 
-    ``leaf_vertices[ordinal - 1]`` maps this text's genome ordinals to tree
-    vertex numbers.
+    Shared by ``build_index`` and by index loading.
     """
-    text = concatenation.text
-    parse = lz77_mod.lz77_parse(text)
-    suffix_set, prefix_set, ctxs = contexts_mod.build_context_sets(concatenation, parse)
-    aggregate = "max" if is_reverse else "min"
-    points = contexts_mod.grid_points(ctxs, suffix_set, prefix_set, aggregate, leaf_vertices)
-    # Every ranked string occurs at a context's boundary: suffixes end there, prefixes start there.
-    suffix_refs = [(0, 0)] * len(suffix_set)
-    prefix_refs = [(0, 0)] * len(prefix_set)
-    for ctx in ctxs:
-        suffix_refs[suffix_set.rank[ctx.suffix] - 1] = (ctx.boundary_pos, len(ctx.suffix))
-        prefix_refs[prefix_set.rank[ctx.prefix] - 1] = (ctx.boundary_pos, len(ctx.prefix))
-    return assemble_side(text, parse, tuple(suffix_refs), tuple(prefix_refs), points, is_reverse)
+    return KmerIndex(
+        tree=tree,
+        forward=build_side(concatenation, forward_parse, tree.leaves, is_reverse=False),
+        reverse=build_side(
+            reverse_concatenation(concatenation),
+            reverse_parse,
+            tuple(reversed(tree.leaves)),
+            is_reverse=True,
+        ),
+        lca=build_lca(tree),
+        sentinel=concatenation.sentinel,
+    )
 
 
 def build_index(
@@ -182,16 +189,9 @@ def build_index(
 ) -> KmerIndex:
     """Build the full two-sided index for a tree and its leaf genomes."""
     concat = build_concatenation(tree, genomes, sentinel)
-    forward = build_side(concat, tree.leaves, is_reverse=False)
-    rev_concat = reverse_concatenation(concat)
-    rev_leaf_vertices = tuple(reversed(tree.leaves))
-    reverse = build_side(rev_concat, rev_leaf_vertices, is_reverse=True)
-    return KmerIndex(
-        tree=tree,
-        forward=forward,
-        reverse=reverse,
-        lca=build_lca(tree),
-        sentinel=concat.sentinel,
+    text = concat.text
+    return assemble_index(
+        tree, concat, lz77_mod.lz77_parse(text), lz77_mod.lz77_parse(text[::-1])
     )
 
 

@@ -8,22 +8,25 @@ in O(1) each after a binary search, O(log^2) overall.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from operator import gt, lt
 from typing import Iterable, Sequence
 
 
 class _GridNode:
     __slots__ = ("x_min", "x_max", "ys", "levels", "left", "right")
 
-    def __init__(self, x_min: int, x_max: int, ys: list[int], labels: list[int], pick):
+    def __init__(self, x_min: int, x_max: int, ys: list[int], labels: list[int], better):
         self.x_min = x_min
         self.x_max = x_max
         self.ys = ys
-        # levels[j][i] aggregates labels[i : i + 2**j] in y order
+        # levels[j][i] aggregates labels[i : i + 2**j] in y order.  ``better``
+        # is operator.lt or gt: a comparison per pair costs a fraction of a
+        # two-argument min() or max() call.
         levels = [labels]
         span = 1
         while span * 2 <= len(labels):
             prev = levels[-1]
-            levels.append(list(map(pick, prev[: len(prev) - span], prev[span:])))
+            levels.append([a if better(a, b) else b for a, b in zip(prev, prev[span:])])
             span *= 2
         self.levels = levels
         self.left: _GridNode | None = None
@@ -52,24 +55,28 @@ class ContextGrid:
         self._root = self._build(pts) if pts else None
 
     def _build(self, pts: Sequence[tuple[int, int, int]]) -> _GridNode:
-        pick = self._pick
+        """Split the x-sorted ``pts`` in halves; one sort by y serves every node.
 
-        def make(lo: int, hi: int) -> _GridNode:
-            by_y = sorted(pts[lo:hi], key=lambda p: (p[1], p[0]))
+        A node's ids are its parent's, filtered by the split index.  The sort
+        is stable and ids follow (x, y) order, so ties in y stay in x order.
+        """
+        better = lt if self.aggregator == "min" else gt
+
+        def make(lo: int, hi: int, by_y: list[int]) -> _GridNode:
             node = _GridNode(
                 pts[lo][0],
                 pts[hi - 1][0],
-                [p[1] for p in by_y],
-                [p[2] for p in by_y],
-                pick,
+                [pts[i][1] for i in by_y],
+                [pts[i][2] for i in by_y],
+                better,
             )
             if hi - lo > 1:
                 mid = (lo + hi) // 2
-                node.left = make(lo, mid)
-                node.right = make(mid, hi)
+                node.left = make(lo, mid, [i for i in by_y if i < mid])
+                node.right = make(mid, hi, [i for i in by_y if i >= mid])
             return node
 
-        return make(0, len(pts))
+        return make(0, len(pts), sorted(range(len(pts)), key=lambda i: pts[i][1]))
 
     def _node_best(self, node: _GridNode, y1: int, y2: int) -> int | None:
         lo = bisect_left(node.ys, y1)

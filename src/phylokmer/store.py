@@ -1,22 +1,23 @@
-"""Binary index file format, version 2.
+"""Binary index file format, version 3.
 
 Little-endian throughout.  Layout: magic, format version (u16), sentinel
 byte, tree section, the forward text (stored once: the reverse side's text
-is its reversal), then per side the phrase records, the suffix refs
-(end, length) in co-lex order, the prefix refs (start, length) in lex order
-and the grid points, and last a CRC32 of every byte before it.  A section
-is a u32 row count followed by one ``struct``-packed column per field.
-Tries, grid decomposition and LCA tables are rebuilt on load by the same
-``engine.assemble_side`` the build uses.
+is its reversal), then the phrase records of the forward and of the reverse
+side, and last a CRC32 of every byte before it.  A section is a u32 row
+count followed by one ``struct``-packed column per field.  Everything else
+is derived on load: the concatenation from the leaf labels and the text
+split at the sentinel, then each side's contexts, tries and grid by the
+same ``engine.build_side`` the build uses, and the LCA tables.
 
 ``save_index`` writes a temporary file next to the target, fsyncs it and
 renames it over the target, so a failed save leaves the previous file as it
 was.  ``load_index`` checks the magic, the version and the CRC, then the
-structure: a tree with one root and no cycle, UTF-8 labels, phrases that
-tile the text and copy what their sources hold, refs inside the text, grid
-coordinates within the ref counts and grid labels that are leaves.  Any
-failure raises IndexFileError.  Version 1 files are rejected ("unsupported
-format version 1") and must be rebuilt.
+structure: a tree with one root, no cycle and in-order vertex numbers,
+UTF-8 labels, one genome per leaf, and phrases that tile the text and copy
+what their earlier sources hold.  That is all an exact answer needs: every
+k-mer's leftmost occurrence then crosses a phrase boundary.  Any failure
+raises IndexFileError.  Version 1 and 2 files are rejected ("unsupported
+format version ...") and must be rebuilt.
 """
 from __future__ import annotations
 
@@ -25,15 +26,15 @@ import os
 import struct
 import zlib
 
-from .engine import KmerIndex, SideIndex, assemble_side
+from .engine import KmerIndex, assemble_index
 from .grid import ContextGrid  # noqa: F401 -- perfbench/tracing.py wraps store.ContextGrid
-from .lca import build_lca
+from .lca import build_lca  # noqa: F401 -- perfbench/tracing.py wraps store.build_lca
 from .lz77 import Lz77Parse, Phrase
-from .model import PhyloTree
+from .model import GenomeRecord, PhyloTree, build_concatenation
 from .tries import build_trie  # noqa: F401 -- perfbench/tracing.py wraps store.build_trie
 
 MAGIC = b"PKMRIDX\x00"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _NO_LITERAL = 0x0100
 _NO_LABEL = 0xFFFF
@@ -95,11 +96,21 @@ def _read_tree(src: _Reader) -> PhyloTree:
         children[p].append(v)
     roots, children[0] = children[0], []
     _check(len(roots) == 1, f"tree has {len(roots)} roots")
-    reached = list(roots)
-    for v in reached:  # grows while iterated: a breadth-first walk from the root
-        reached.extend(children[v])
-    _check(len(reached) == count, "tree has a cycle")
-    # In-order numbering makes ascending child numbers the original order.
+    # In-order walk from the root, a vertex right after its first child's
+    # subtree (-v marks that slot).  Vertices on a cycle are never reached.
+    order = []
+    work = [roots[0]]
+    while work:
+        v = work.pop()
+        kids = children[v] if v > 0 else ()
+        if kids:
+            work += [*reversed(kids[1:]), -v, kids[0]]
+        else:
+            order.append(abs(v))
+    _check(len(order) == count, "tree has a cycle")
+    # The engine needs leaf numbers in left-to-right order: min and max
+    # leaves of a genome set then span the smallest subtree holding it.
+    _check(order == list(range(1, count + 1)), "tree vertices are not numbered in order")
     return PhyloTree(
         parent=(0, *parents),
         children=tuple(tuple(c) for c in children),
@@ -109,7 +120,7 @@ def _read_tree(src: _Reader) -> PhyloTree:
     )
 
 
-def _write_side(out: list[bytes], side: SideIndex) -> None:
+def _write_parse(out: list[bytes], parse: Lz77Parse) -> None:
     phrases = [
         (
             p.start,
@@ -117,12 +128,9 @@ def _write_side(out: list[bytes], side: SideIndex) -> None:
             0 if p.source is None else p.source + 1,
             _NO_LITERAL if p.literal is None else p.literal,
         )
-        for p in side.parse.phrases
+        for p in parse.phrases
     ]
     _section(out, "QQQH", phrases)
-    _section(out, "QI", side.suffix_refs)
-    _section(out, "QI", side.prefix_refs)
-    _section(out, "III", side.grid.points)
 
 
 def _check_phrases(text: bytes, starts, match_lens, sources, literals) -> None:
@@ -148,7 +156,7 @@ def _check_phrases(text: bytes, starts, match_lens, sources, literals) -> None:
     _check(pos == n, "phrases do not cover the text")
 
 
-def _read_side(src: _Reader, text: bytes, leaves: set[int], is_reverse: bool) -> SideIndex:
+def _read_parse(src: _Reader, text: bytes) -> Lz77Parse:
     starts, match_lens, sources, literals = src.section("QQQH")
     _check_phrases(text, starts, match_lens, sources, literals)
     phrases = tuple(
@@ -160,27 +168,16 @@ def _read_side(src: _Reader, text: bytes, leaves: set[int], is_reverse: bool) ->
         )
         for start, match_len, source, literal in zip(starts, match_lens, sources, literals)
     )
-    parse = Lz77Parse(phrases=phrases, boundary_positions=(*starts, len(text)))
-    suffix_refs = tuple(zip(*src.section("QI")))
-    prefix_refs = tuple(zip(*src.section("QI")))
-    _check(all(n <= end <= len(text) for end, n in suffix_refs), "suffix ref outside the text")
-    _check(all(pos + n <= len(text) for pos, n in prefix_refs), "prefix ref outside the text")
-    xs, ys, labels = src.section("III")
-    _check(
-        all(1 <= x <= len(suffix_refs) for x in xs) and all(1 <= y <= len(prefix_refs) for y in ys),
-        "grid point outside the ref ranks",
-    )
-    _check(leaves.issuperset(labels), "grid label that is not a leaf")
-    return assemble_side(text, parse, suffix_refs, prefix_refs, zip(xs, ys, labels), is_reverse)
+    return Lz77Parse(phrases=phrases, boundary_positions=(*starts, len(text)))
 
 
 def save_index(index: KmerIndex, path) -> None:
-    """Write the index to ``path`` in format version 2, atomically."""
+    """Write the index to ``path`` in format version 3, atomically."""
     out = [MAGIC, struct.pack("<HB", FORMAT_VERSION, index.sentinel)]
     _write_tree(out, index.tree)
     out += [struct.pack("<Q", len(index.forward.text)), index.forward.text]
-    _write_side(out, index.forward)
-    _write_side(out, index.reverse)
+    _write_parse(out, index.forward.parse)
+    _write_parse(out, index.reverse.parse)
     payload = b"".join(out)
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
@@ -215,10 +212,14 @@ def load_index(path) -> KmerIndex:
         tree = _read_tree(src)
         (size,) = struct.unpack("<Q", src.take(8))
         text = src.take(size)
-        leaves = set(tree.leaves)
-        forward = _read_side(src, text, leaves, is_reverse=False)
-        reverse = _read_side(src, text[::-1], leaves, is_reverse=True)
+        forward = _read_parse(src, text)
+        reverse = _read_parse(src, text[::-1])
         _check(src.pos == src.end, "trailing bytes after index data")
-    except ValueError as exc:  # IndexFileError, bad UTF-8, or refs out of order
+        pieces = text.split(bytes([sentinel]))
+        names = tree.leaf_labels()
+        _check(len(pieces) == len(names), f"{len(pieces)} genomes for {len(names)} leaves")
+        genomes = [GenomeRecord(name, seq) for name, seq in zip(names, pieces)]
+        concat = build_concatenation(tree, genomes, sentinel)
+    except ValueError as exc:  # IndexFileError, bad UTF-8, or an empty or duplicate genome
         raise IndexFileError(f"{path}: {exc}") from None
-    return KmerIndex(tree=tree, forward=forward, reverse=reverse, lca=build_lca(tree), sentinel=sentinel)
+    return assemble_index(tree, concat, forward, reverse)

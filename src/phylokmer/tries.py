@@ -70,7 +70,6 @@ class CompactTrie:
                 return kept[string_id][start:stop]
 
         self._access = text_access
-        self._lengths = tuple(len(s) for s in strings)
         self.size = len(strings)
         self.root = self._build(strings)
         self._root_locus = (
@@ -111,12 +110,6 @@ class CompactTrie:
                 work.append((child, k, g))
                 k = g
         return root
-
-    def string_at(self, rank: int) -> bytes:
-        """The set string with the given 1-based rank."""
-        if not 1 <= rank <= self.size:
-            raise ValueError(f"rank {rank} out of range 1..{self.size}")
-        return self._access(rank - 1, 0, self._lengths[rank - 1])
 
     def root_locus(self) -> Locus | None:
         return self._root_locus

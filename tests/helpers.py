@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import random
 
-from phylokmer.contexts import max_prefix_at
+from phylokmer.contexts import BoundaryContext
 from phylokmer.lz77 import Lz77Parse
-from phylokmer.model import Concatenation, GenomeRecord, PhyloTree, parse_newick
+from phylokmer.model import (
+    Concatenation,
+    GenomeRecord,
+    PhyloTree,
+    genome_of_position,
+    parse_newick,
+)
+from phylokmer.tries import CompactTrie
 
 FIXTURE_NEWICK = "((GATTACAT,(AGATACAT,GATACAT)),(GATTAGAT,GATTAGATA));"
 FIXTURE_NAMES = ("GATTACAT", "AGATACAT", "GATACAT", "GATTAGAT", "GATTAGATA")
@@ -54,6 +61,45 @@ def reference_lz77_boundaries(text: bytes) -> list[int]:
 def phrase_texts(parse: Lz77Parse, text: bytes) -> list[bytes]:
     """The byte content of each phrase, sliced from the original text."""
     return [text[p.start : p.start + p.length] for p in parse.phrases]
+
+
+def max_suffix_of_phrase(phrase_text: bytes, sentinel: int = 0x24) -> bytes:
+    """Longest sentinel-free suffix: everything after the last sentinel."""
+    cut = phrase_text.rfind(sentinel)
+    return phrase_text if cut < 0 else phrase_text[cut + 1 :]
+
+
+def max_prefix_at(text: bytes, pos: int, sentinel: int = 0x24) -> bytes:
+    """Longest sentinel-free prefix of text[pos:]; empty at end of text."""
+    if not 0 <= pos <= len(text):
+        raise ValueError(f"position {pos} out of range 0..{len(text)}")
+    cut = text.find(sentinel, pos)
+    return text[pos:] if cut < 0 else text[pos:cut]
+
+
+def reference_contexts(concatenation: Concatenation, parse: Lz77Parse) -> list[BoundaryContext]:
+    """Boundary contexts by a sentinel search per phrase and per boundary."""
+    text = concatenation.text
+    sentinel = concatenation.sentinel
+    out = []
+    for phrase in parse.phrases:
+        end = phrase.start + phrase.length
+        suffix = max_suffix_of_phrase(text[phrase.start : end], sentinel)
+        if suffix:
+            prefix = max_prefix_at(text, end, sentinel)
+            genome = genome_of_position(concatenation, end - 1)
+            out.append(BoundaryContext(end, suffix, prefix, genome))
+    return out
+
+
+def string_at(trie: CompactTrie, rank: int) -> bytes:
+    """The set string with the given 1-based rank, found by walking down to its terminal."""
+    if not 1 <= rank <= trie.size:
+        raise ValueError(f"rank {rank} out of range 1..{trie.size}")
+    node = trie.root
+    while node.terminal_rank != rank:
+        node = next(e.child for e in node.edges if e.child.lo <= rank <= e.child.hi)
+    return trie._access(rank - 1, 0, node.depth)
 
 
 def candidate_prefixes(concatenation: Concatenation, parse: Lz77Parse) -> tuple[bytes, ...]:

@@ -157,7 +157,7 @@ def test_query_rejects_damaged_index(tmp_path, capsys):
 
 def test_query_rejects_bit_flipped_index_in_one_line(built, capsys):
     data = bytearray(built.read_bytes())
-    data[-8] ^= 0x02  # a reverse-side grid label
+    data[-8] ^= 0x02  # a reverse-side phrase literal
     built.write_bytes(data)
     code = main(["query", "--index", str(built), "--pattern", "GATTACATAGATACAT", "-k", "3"])
     captured = capsys.readouterr()
@@ -194,3 +194,38 @@ def test_query_non_latin1_pattern_is_one_line_error(built, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "latin-1" in captured.err
+
+
+def _assert_one_line_error(code, capsys, expected):
+    captured = capsys.readouterr()
+    assert code != 0
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert expected in captured.err
+
+
+def test_build_non_latin1_sentinel_is_one_line_error(tmp_path, capsys):
+    code = main(["build", "--tree", "t", "--genomes", "g", "--out", "o", "--sentinel", "€"])
+    _assert_one_line_error(code, capsys, "latin-1")
+
+
+def test_build_non_utf8_tree_is_one_line_error(tmp_path, capsys):
+    tree = tmp_path / "tree.nwk"
+    tree.write_bytes(b"(A\xff,B);\n")
+    fasta = tmp_path / "genomes.fa"
+    fasta.write_text(">A\nACGT\n>B\nACGA\n")
+    out = tmp_path / "x.idx"
+    code = main(["build", "--tree", str(tree), "--genomes", str(fasta), "--out", str(out)])
+    _assert_one_line_error(code, capsys, str(tree))
+
+
+def test_build_too_long_label_is_one_line_error(tmp_path, capsys):
+    label = "A" * 70_000
+    tree = tmp_path / "tree.nwk"
+    tree.write_text(f"({label},B);\n")
+    fasta = tmp_path / "genomes.fa"
+    fasta.write_text(f">{label}\nACGT\n>B\nACGA\n")
+    out = tmp_path / "x.idx"
+    code = main(["build", "--tree", str(tree), "--genomes", str(fasta), "--out", str(out)])
+    _assert_one_line_error(code, capsys, "label too long")
+    assert not out.exists()

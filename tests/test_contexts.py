@@ -3,15 +3,22 @@ import random
 
 import pytest
 
-from helpers import FIXTURE_TEXT, candidate_prefixes, fixture_genomes, fixture_tree, random_instance
+from helpers import (
+    FIXTURE_TEXT,
+    candidate_prefixes,
+    fixture_genomes,
+    fixture_tree,
+    max_prefix_at,
+    max_suffix_of_phrase,
+    random_instance,
+    reference_contexts,
+)
 from phylokmer.contexts import (
     BoundaryContext,
     PrefixSet,
     SuffixSet,
     build_context_sets,
     grid_points,
-    max_prefix_at,
-    max_suffix_of_phrase,
 )
 from phylokmer.lz77 import lz77_parse
 from phylokmer.model import build_concatenation, genome_of_position
@@ -131,6 +138,7 @@ def test_context_invariants_on_random_instances():
         cat = build_concatenation(tree, genomes)
         parse = lz77_parse(cat.text)
         suffixes, prefixes, contexts = build_context_sets(cat, parse)
+        assert contexts == reference_contexts(cat, parse)
 
         sentinel = cat.sentinel
         boundary_set = set(parse.boundary_positions)

@@ -5,20 +5,36 @@ import struct
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import FIXTURE_NAMES, FIXTURE_TEXT, random_instance, random_pattern
-from phylokmer import build_concatenation, build_index, classify, load_index, save_index
+from phylokmer import (
+    GenomeRecord,
+    build_concatenation,
+    build_index,
+    classify,
+    load_index,
+    naive_classify,
+    save_index,
+)
 from phylokmer.contexts import build_context_sets
 from phylokmer.lz77 import lz77_parse
 from phylokmer.model import reverse_concatenation
 from phylokmer.store import MAGIC, IndexFileError
 
-HEAD = len(MAGIC) + 3  # magic, u16 version, sentinel byte
-# The fixture's 12 forward phrase records, after 9 tree vertices (u32 parent,
-# u16 label size, label bytes), the u64 text size, the text and the u32 count.
-FORWARD_PHRASES = HEAD + 4 + 9 * 6 + sum(map(len, FIXTURE_NAMES)) + 8 + len(FIXTURE_TEXT) + 4
+SENTINEL = len(MAGIC) + 2  # after the magic and the u16 version
+HEAD = SENTINEL + 1
+# The fixture's text follows 9 tree vertices (u32 parent, u16 label size,
+# label bytes) and the u64 text size.
+TEXT = HEAD + 4 + 9 * 6 + sum(map(len, FIXTURE_NAMES)) + 8
+# Its 12 forward phrase records, after the u32 count: columns of u64 start,
+# u64 match length, u64 source + 1 and u16 literal.
+FORWARD_PHRASES = TEXT + len(FIXTURE_TEXT) + 4
 LAST_FORWARD_START = FORWARD_PHRASES + 11 * 8
 LAST_FORWARD_SOURCE = FORWARD_PHRASES + 2 * 12 * 8 + 11 * 8
+# Then the reverse side's 10 records.
+REVERSE_PHRASES = FORWARD_PHRASES + 12 * 26 + 4
 
 
 def test_fixture_round_trip(worked_index, tmp_path):
@@ -92,10 +108,11 @@ def test_rejects_foreign_and_damaged_files(worked_index, tmp_path):
     with pytest.raises(IndexFileError):
         load_index(wrong_version)
 
-    version_1 = tmp_path / "v1.idx"
-    version_1.write_bytes(data[: len(MAGIC)] + b"\x01\x00" + data[len(MAGIC) + 2 :])
-    with pytest.raises(IndexFileError, match="unsupported format version 1"):
-        load_index(version_1)
+    for version in (1, 2):
+        old = tmp_path / f"v{version}.idx"
+        old.write_bytes(data[: len(MAGIC)] + struct.pack("<H", version) + data[len(MAGIC) + 2 :])
+        with pytest.raises(IndexFileError, match=f"unsupported format version {version}"):
+            load_index(old)
 
 
 def test_every_single_bit_flip_is_rejected(worked_index, tmp_path):
@@ -114,12 +131,14 @@ def test_every_single_bit_flip_is_rejected(worked_index, tmp_path):
 @pytest.mark.parametrize(
     "offset, patch, problem",
     [
-        # Last four bytes before the CRC: the reverse side's last grid label,
-        # set to the fixture's root, vertex 6.
-        (-8, struct.pack("<I", 6), "not a leaf"),
+        # The sentinel made "A": the text splits into 18 genomes for 5 leaves.
+        (SENTINEL, b"A", "18 genomes for 5 leaves"),
         # Parent of vertex 1, right after the tree's vertex count.
         (HEAD + 4, struct.pack("<I", 0x7F), "outside 0..9"),
         (HEAD + 4, struct.pack("<I", 1), "cycle"),
+        # Leaf 3 moved under vertex 8: the leaves read 1, 5, 3, 7, 9 left to
+        # right, so the min and max leaf of {1, 3, 5} would miss their LCA.
+        (HEAD + 4 + 2 * 4, struct.pack("<I", 8), "not numbered in order"),
         # First label byte, after 9 parents (u32) and 9 label sizes (u16).
         (HEAD + 4 + 9 * 6, b"\xff", "utf-8"),
         # The last forward phrase moved far past the end of the text.
@@ -154,3 +173,62 @@ def test_failed_save_leaves_previous_file(worked_index, tmp_path, monkeypatch):
         save_index(worked_index, path)
     assert path.read_bytes() == b"previous index"
     assert list(tmp_path.iterdir()) == [path]
+
+
+def _with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+@pytest.fixture(scope="module")
+def fixture_file(worked_index, tmp_path_factory):
+    path = tmp_path_factory.mktemp("patched") / "fixture.idx"
+    save_index(worked_index, path)
+    return path
+
+
+def _phrase_field(side: int, row: int, column: int) -> tuple[int, str]:
+    """Offset and struct code of one phrase record field of the fixture file."""
+    base, z = ((FORWARD_PHRASES, 12), (REVERSE_PHRASES, 10))[side]
+    row %= z
+    if column < 3:
+        return base + column * 8 * z + row * 8, "<Q"
+    return base + 24 * z + row * 2, "<H"
+
+
+@st.composite
+def patches(draw):
+    """(offset, bytes) for one phrase field, text byte, the sentinel or one tree parent."""
+    kind = draw(st.sampled_from(["phrase", "text", "sentinel", "parent"]))
+    if kind == "phrase":
+        offset, code = _phrase_field(
+            draw(st.integers(0, 1)), draw(st.integers(0, 11)), draw(st.integers(0, 3))
+        )
+        return offset, struct.pack(code, draw(st.integers(0, 0x101 if code == "<H" else 50)))
+    value = bytes([draw(st.sampled_from(b"ACGT$\x00\xff") | st.integers(0, 255))])
+    if kind == "text":
+        return TEXT + draw(st.integers(0, len(FIXTURE_TEXT) - 1)), value
+    if kind == "sentinel":
+        return SENTINEL, value
+    return HEAD + 4 + 4 * draw(st.integers(0, 8)), struct.pack("<I", draw(st.integers(0, 10)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(patch=patches())
+def test_patched_files_fail_or_answer_exactly(fixture_file, patch):
+    """A file either fails to load or answers like the oracle on what it holds."""
+    offset, value = patch
+    data = fixture_file.read_bytes()
+    crafted = fixture_file.with_name("crafted.idx")
+    crafted.write_bytes(_with_crc(data[:offset] + value + data[offset + len(value) : -4]))
+    try:
+        loaded = load_index(crafted)
+    except IndexFileError:
+        return
+    tree = loaded.tree
+    pieces = loaded.forward.text.split(bytes([loaded.sentinel]))
+    genomes = [GenomeRecord(name, seq) for name, seq in zip(tree.leaf_labels(), pieces)]
+    for pattern in (b"GATTACAT", b"TAGACA", b"AGATACATAGATTAG", *pieces):
+        if loaded.sentinel in pattern:
+            continue
+        for k in range(1, len(pattern) + 1):
+            assert classify(loaded, pattern, k) == naive_classify(tree, genomes, pattern, k)

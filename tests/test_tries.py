@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from helpers import string_at
 from phylokmer.engine import reversed_suffix_access
 from phylokmer.tries import build_trie
 
@@ -70,7 +71,7 @@ def test_blind_descent_skips_need_verification():
 def test_string_at_round_trip():
     trie = build_trie(PREFIX_STRINGS)
     for rank, s in enumerate(PREFIX_STRINGS, start=1):
-        assert trie.string_at(rank) == s
+        assert string_at(trie, rank) == s
 
 
 def test_build_rejects_bad_input():
