@@ -9,14 +9,17 @@ k-mer occurs.  k is chosen per query, never at build time.
 
 Per classify call, trie work is shared across k-mers: one descent per
 pattern position and trie family (at most 4m descents for a pattern of
-length m), memoized for the call.  Each descent is verified once: a single
-comparison with stored text decides every prefix length it reached.  Both
-sides run one split loop, the reverse side over the reversed pattern; a
-side stops at its leftmost (rightmost) leaf, and the reverse side is not
-asked about a k-mer the forward side found nowhere.
+length m), memoized for the call.  Each descent is verified once and keeps
+its verified length and node chain: a split whose alpha or beta part is
+longer than that length is skipped outright, and only a split that
+reaches the grid bisects the chains for its rank box.  Both sides run one
+split loop, the reverse side over the reversed pattern; a side stops at
+its leftmost (rightmost) leaf, and the reverse side is not asked about a
+k-mer the forward side found nowhere.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -204,7 +207,9 @@ class _QueryState:
     suffix trie with the up-to-k bytes left of c, reversed (the alpha
     parts), and family ``2 * is_reverse + 1`` its prefix trie with the
     up-to-(k - 1) bytes right of c (the beta parts).  ``memo[family][c]``
-    holds that descent's ``prefix_intervals`` lists.
+    holds that descent's ``CompactTrie.descend`` result: the verified
+    length, which decides whether a split can occur at all, and the node
+    chain, bisected for a rank interval only by splits that reach the grid.
     """
 
     def __init__(self, index: KmerIndex, pattern: bytes, k: int, stats: QueryStats):
@@ -212,14 +217,9 @@ class _QueryState:
         self.texts = (pattern, pattern[::-1])
         self.k = k
         self.stats = stats
-        self.memo: list[list[tuple[list[int], list[int]] | None]] = [
+        self.memo: list[list[tuple[int, list[int], list] | None]] = [
             [None] * (len(pattern) + 1) for _ in range(4)
         ]
-
-    def _descend(self, trie: CompactTrie, fed: bytes) -> tuple[list[int], list[int]]:
-        self.stats.descents += 1
-        self.stats.verifications += 1
-        return trie.prefix_intervals(fed)
 
     def best(self, side: SideIndex, i: int) -> int | None:
         """Min (forward) or max (reverse) grid label over every split of the
@@ -227,44 +227,56 @@ class _QueryState:
         k = self.k
         rev = side.is_reverse
         text = self.texts[rev]
+        # the oriented pattern reversed: its bytes left of c, read leftwards
+        flipped = self.texts[not rev]
+        m = len(text)
         if rev:
-            i = len(text) - k - i
+            i = m - k - i
         alphas = self.memo[2 * rev]
         betas = self.memo[2 * rev + 1]
-        suffix_trie = side.suffix_trie
-        prefix_trie = side.prefix_trie
+        suffix_descend = side.suffix_trie.descend
+        prefix_descend = side.prefix_trie.descend
+        prefix_size = side.prefix_trie.size
         range_best = side.grid.range_best
-        pick = max if rev else min
         # Labels are leaf vertices, so the leftmost (rightmost) leaf can't be beaten.
         leaves = self.index.tree.leaves
         target = leaves[-1] if rev else leaves[0]
         best = None
+        descents = queries = 0
         for j in range(1, k + 1):
             c = i + j
             alpha = alphas[c]
             if alpha is None:
-                alpha = alphas[c] = self._descend(suffix_trie, text[max(0, c - k) : c][::-1])
-            a_lo, a_hi = alpha
-            if j >= len(a_lo):
+                descents += 1
+                alpha = alphas[c] = suffix_descend(flipped[m - c : m - c + k])
+            a_len, a_depths, a_nodes = alpha
+            if j > a_len:
                 continue
             if j == k:
-                if not prefix_trie.size:
+                if not prefix_size:
                     continue
-                y1, y2 = 1, prefix_trie.size
+                y1, y2 = 1, prefix_size
             else:
                 beta = betas[c]
                 if beta is None:
-                    beta = betas[c] = self._descend(prefix_trie, text[c : c + k - 1])
-                b_lo, b_hi = beta
-                if k - j >= len(b_lo):
+                    descents += 1
+                    beta = betas[c] = prefix_descend(text[c : c + k - 1])
+                b_len, b_depths, b_nodes = beta
+                if k - j > b_len:
                     continue
-                y1, y2 = b_lo[k - j], b_hi[k - j]
-            self.stats.grid_queries += 1
-            label = range_best(a_lo[j], a_hi[j], y1, y2)
-            if label is not None:
-                best = label if best is None else pick(best, label)
+                node = b_nodes[bisect_left(b_depths, k - j)]
+                y1, y2 = node.lo, node.hi
+            node = a_nodes[bisect_left(a_depths, j)]
+            queries += 1
+            label = range_best(node.lo, node.hi, y1, y2)
+            if label is not None and (best is None or (label > best if rev else label < best)):
+                best = label
                 if best == target:
                     break
+        stats = self.stats
+        stats.descents += descents
+        stats.verifications += descents
+        stats.grid_queries += queries
         return best
 
 

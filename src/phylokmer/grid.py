@@ -1,36 +1,18 @@
 """Static grid of labeled points with closed-box range min/max queries.
 
-Balanced decomposition over x: each node covers a contiguous run of the
-x-sorted points and stores them ordered by y together with doubling tables
-of running aggregates, so a box query decomposes into O(log) nodes answered
-in O(1) each after a binary search, O(log^2) overall.
+A flat, bottom-up segment tree over the x-sorted points: for n points,
+leaf n + i holds point i and node v < n covers the points of nodes 2v and
+2v + 1, with no padding of n.  Each node stores its points' ys in order
+and doubling tables of running minima of ``sign * label``, so a max grid
+is a min grid on negated labels.  A box query maps [x1, x2] to a run of
+point indices with two bisects, collects the O(log n) nodes that tile the
+run with the bottom-up loop, and answers each in O(1) after a binary
+search over its ys: O(log^2 n) overall.
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from operator import gt, lt
-from typing import Iterable, Sequence
-
-
-class _GridNode:
-    __slots__ = ("x_min", "x_max", "ys", "levels", "left", "right")
-
-    def __init__(self, x_min: int, x_max: int, ys: list[int], labels: list[int], better):
-        self.x_min = x_min
-        self.x_max = x_max
-        self.ys = ys
-        # levels[j][i] aggregates labels[i : i + 2**j] in y order.  ``better``
-        # is operator.lt or gt: a comparison per pair costs a fraction of a
-        # two-argument min() or max() call.
-        levels = [labels]
-        span = 1
-        while span * 2 <= len(labels):
-            prev = levels[-1]
-            levels.append([a if better(a, b) else b for a, b in zip(prev, prev[span:])])
-            span *= 2
-        self.levels = levels
-        self.left: _GridNode | None = None
-        self.right: _GridNode | None = None
+from typing import Iterable
 
 
 class ContextGrid:
@@ -40,69 +22,84 @@ class ContextGrid:
         if aggregator not in ("min", "max"):
             raise ValueError(f"aggregator must be 'min' or 'max', got {aggregator!r}")
         self.aggregator = aggregator
-        self._pick = min if aggregator == "min" else max
         pts = sorted(points)
-        seen: set[tuple[int, int]] = set()
         for x, y, _ in pts:
             if x < 1 or y < 1:
                 raise ValueError(f"point ({x}, {y}) outside 1-based rank space")
-            if (x, y) in seen:
+        for (x, y, _), (x2, y2, _) in zip(pts, pts[1:]):
+            if x == x2 and y == y2:
                 raise ValueError(f"duplicate point at ({x}, {y})")
-            seen.add((x, y))
         self.points = tuple(pts)
-        self.x_size = max((x for x, _, _ in pts), default=0)
-        self.y_size = max((y for _, y, _ in pts), default=0)
-        self._root = self._build(pts) if pts else None
+        self._sign = 1 if aggregator == "min" else -1
+        self._xs = [x for x, _, _ in pts]
+        self._build()
 
-    def _build(self, pts: Sequence[tuple[int, int, int]]) -> _GridNode:
-        """Split the x-sorted ``pts`` in halves; one sort by y serves every node.
+    def _build(self) -> None:
+        """Fill ``_ys[v]`` and ``_tables[v]`` for every node, leaves first.
 
-        A node's ids are its parent's, filtered by the split index.  The sort
-        is stable and ids follow (x, y) order, so ties in y stay in x order.
+        Points are ranked by y once (ties in x order); a node's ranks are
+        its children's, merged by one sort of two sorted runs.
         """
-        better = lt if self.aggregator == "min" else gt
-
-        def make(lo: int, hi: int, by_y: list[int]) -> _GridNode:
-            node = _GridNode(
-                pts[lo][0],
-                pts[hi - 1][0],
-                [pts[i][1] for i in by_y],
-                [pts[i][2] for i in by_y],
-                better,
-            )
-            if hi - lo > 1:
-                mid = (lo + hi) // 2
-                node.left = make(lo, mid, [i for i in by_y if i < mid])
-                node.right = make(mid, hi, [i for i in by_y if i >= mid])
-            return node
-
-        return make(0, len(pts), sorted(range(len(pts)), key=lambda i: pts[i][1]))
-
-    def _node_best(self, node: _GridNode, y1: int, y2: int) -> int | None:
-        lo = bisect_left(node.ys, y1)
-        hi = bisect_right(node.ys, y2)
-        if lo >= hi:
-            return None
-        j = (hi - lo).bit_length() - 1
-        level = node.levels[j]
-        return self._pick(level[lo], level[hi - (1 << j)])
+        pts = self.points
+        sign = self._sign
+        n = len(pts)
+        by_y = sorted(range(n), key=lambda i: pts[i][1])
+        y_of = [pts[i][1] for i in by_y]
+        label_of = [sign * pts[i][2] for i in by_y]
+        ranks: list[list[int] | None] = [None] * (2 * n)
+        for rank, i in enumerate(by_y):
+            ranks[n + i] = [rank]
+        ys: list[list[int]] = [[]] * (2 * n)
+        tables: list[list[list[int]]] = [[]] * (2 * n)
+        for v in range(2 * n - 1, 0, -1):
+            mine = ranks[v]
+            if v < n:
+                mine = ranks[2 * v] + ranks[2 * v + 1]
+                mine.sort()
+                ranks[2 * v] = ranks[2 * v + 1] = None
+                ranks[v] = mine
+            ys[v] = [y_of[r] for r in mine]
+            # table[j][i] is the least of labels[i : i + 2**j] in y order.
+            table = [[label_of[r] for r in mine]]
+            span = 1
+            while span * 2 <= len(mine):
+                prev = table[-1]
+                table.append([a if a < b else b for a, b in zip(prev, prev[span:])])
+                span *= 2
+            tables[v] = table
+        self._ys = ys
+        self._tables = tables
 
     def range_best(self, x1: int, x2: int, y1: int, y2: int) -> int | None:
         """Aggregate label over points in [x1, x2] x [y1, y2]; None if empty."""
-        if self._root is None or x1 > x2 or y1 > y2:
-            return None
+        xs = self._xs
+        n = len(xs)
+        lo = bisect_left(xs, x1) + n
+        hi = bisect_right(xs, x2) + n
+        nodes = []
+        while lo < hi:
+            if lo & 1:
+                nodes.append(lo)
+                lo += 1
+            if hi & 1:
+                hi -= 1
+                nodes.append(hi)
+            lo >>= 1
+            hi >>= 1
+        ys_of = self._ys
+        tables = self._tables
         best = None
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.x_min > x2 or node.x_max < x1:
-                continue
-            if x1 <= node.x_min and node.x_max <= x2:
-                got = self._node_best(node, y1, y2)
-                if got is not None:
-                    best = got if best is None else self._pick(best, got)
-            elif node.left is not None:
-                stack.append(node.left)
-                stack.append(node.right)
-            # a leaf is always fully inside or fully outside its x test
-        return best
+        for v in nodes:
+            ys = ys_of[v]
+            a = bisect_left(ys, y1)
+            b = bisect_right(ys, y2)
+            if a < b:
+                j = (b - a).bit_length() - 1
+                level = tables[v][j]
+                got = level[a]
+                other = level[b - (1 << j)]
+                if other < got:
+                    got = other
+                if best is None or got < best:
+                    best = got
+        return None if best is None else self._sign * best

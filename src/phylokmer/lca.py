@@ -34,7 +34,7 @@ class LcaStructure:
         span = 1
         while span * 2 <= len(tour):
             prev = levels[-1]
-            levels.append(list(map(min, prev[: len(prev) - span], prev[span:])))
+            levels.append([a if a < b else b for a, b in zip(prev, prev[span:])])
             span *= 2
         self._first = first
         self._levels = levels
@@ -49,7 +49,9 @@ class LcaStructure:
             lo, hi = hi, lo
         j = (hi - lo + 1).bit_length() - 1
         level = self._levels[j]
-        return min(level[lo], level[hi - (1 << j) + 1])[1]
+        a = level[lo]
+        b = level[hi - (1 << j) + 1]
+        return (a if a < b else b)[1]
 
 
 def build_lca(tree: PhyloTree) -> LcaStructure:

@@ -1,12 +1,17 @@
 """Compact tries with blind descent and one verification per descent.
 
-Built over a sorted set of byte strings.  Descent compares only the first
-byte of each edge and skips the rest, so a reported locus is a candidate
-until verified against stored text; ``prefix_intervals`` verifies every
-prefix length of one descent with a single comparison.  A set string that
-is a proper prefix of another ends at a terminal mark on the node at its
-depth; terminals sort before outgoing edges, so leaf ranks in left-to-right
-order equal the 1-based sorted-set ranks.
+Built over a sorted set of byte strings.  Each node maps the first byte of
+each outgoing edge to its child; an edge's length is the difference of the
+two depths and its label is never stored, since every string under a node
+shares that node's path label.  Descent compares only those first bytes
+and skips the rest, so a reported locus is a candidate until verified
+against stored text.  ``descend`` walks node to node and verifies every
+prefix length it reached with a single comparison; it returns the verified
+length and the chain of path nodes, from which the rank interval of any
+shorter length is one bisect away.  A set string that is a proper prefix
+of another ends at a terminal mark on the node at its depth; terminals
+sort before outgoing edges, so leaf ranks in left-to-right order equal the
+1-based sorted-set ranks.
 """
 from __future__ import annotations
 
@@ -16,24 +21,13 @@ from typing import Callable, Sequence
 TextAccess = Callable[[int, int, int], bytes]
 
 
-class _Edge:
-    __slots__ = ("first", "length", "ref_string", "ref_start", "child")
-
-    def __init__(self, first: int, length: int, ref_string: int, ref_start: int, child: "_Node"):
-        self.first = first
-        self.length = length
-        # (ref_string, ref_start) locate this edge's label inside set string
-        # ref_string, for label extraction without storing the bytes here.
-        self.ref_string = ref_string
-        self.ref_start = ref_start
-        self.child = child
-
-
 class _Node:
-    __slots__ = ("edges", "terminal_rank", "lo", "hi", "depth")
+    __slots__ = ("children", "terminal_rank", "lo", "hi", "depth")
 
     def __init__(self, lo: int, hi: int, depth: int):
-        self.edges: list[_Edge] = []
+        # first byte of the edge -> child, in byte order; the leftmost string
+        # under a child holds the edge label at [self.depth, child.depth).
+        self.children: dict[int, _Node] = {}
         self.terminal_rank: int | None = None
         self.lo = lo
         self.hi = hi
@@ -97,16 +91,14 @@ class CompactTrie:
                 # Edge label: common prefix of the group, cut where its first
                 # (shortest possible) member ends.
                 if g - k == 1:
-                    ext = len(strings[k]) - depth
+                    child_depth = len(strings[k])
                 else:
                     a, b = strings[k], strings[g - 1]
                     limit = min(len(a), len(b))
-                    pos = depth
-                    while pos < limit and a[pos] == b[pos]:
-                        pos += 1
-                    ext = pos - depth
-                child = _Node(lo=k + 1, hi=g, depth=depth + ext)
-                node.edges.append(_Edge(first, ext, k, depth, child))
+                    child_depth = depth
+                    while child_depth < limit and a[child_depth] == b[child_depth]:
+                        child_depth += 1
+                child = node.children[first] = _Node(lo=k + 1, hi=g, depth=child_depth)
                 work.append((child, k, g))
                 k = g
         return root
@@ -135,71 +127,55 @@ class CompactTrie:
         if self.size == 0:
             out.extend([None] * limit)
             return out
-        node = self.root
-        edge: _Edge | None = None
-        offset = 0
-        depth = 0
+        below = self.root  # the node at the bottom of the edge being read
         for idx in range(limit):
-            byte = pattern[idx]
-            if edge is not None and offset < edge.length:
-                offset += 1  # inside an edge: skip blindly
-            else:
-                if edge is not None:
-                    node = edge.child
-                    edge = None
-                found = None
-                for e in node.edges:
-                    if e.first == byte:
-                        found = e
-                        break
-                if found is None:
+            if idx == below.depth:
+                below = below.children.get(pattern[idx])
+                if below is None:
                     out.extend([None] * (limit - idx))
                     return out
-                edge = found
-                offset = 1
-            depth += 1
-            below = edge.child
-            out.append(Locus(matched_depth=depth, lo=below.lo, hi=below.hi, candidate=True))
+            # inside an edge the byte is skipped blindly
+            out.append(Locus(matched_depth=idx + 1, lo=below.lo, hi=below.hi, candidate=True))
         return out
 
-    def prefix_intervals(self, pattern: bytes) -> tuple[list[int], list[int]]:
-        """Verified rank intervals for every prefix length of ``pattern``.
+    def descend(self, pattern: bytes) -> tuple[int, list[int], list[_Node]]:
+        """Verified descent: ``(length, depths, nodes)`` for ``pattern``.
 
-        ``(lo[L], hi[L])`` is the rank interval of the set strings starting
-        with ``pattern[:L]``.  The lists end at the longest such L; both are
-        empty for an empty trie.  One blind descent fills a whole edge's run
-        of lengths at once, then one comparison cuts the lists: all strings
-        under a locus share its path label and the deepest locus' leftmost
-        string lies under every shallower locus, so ``pattern[:L]`` is valid
-        iff its LCP with that string is at least L.
+        ``length`` is the longest L such that some set string starts with
+        ``pattern[:L]`` (-1 for an empty trie).  ``nodes`` is the path from
+        the root, ``depths`` their depths; for 0 <= L <= length the strings
+        starting with ``pattern[:L]`` are the ranks ``node.lo..node.hi`` of
+        ``node = nodes[bisect_left(depths, L)]``, the node at the bottom of
+        the edge holding byte L.  The walk compares edge first bytes only,
+        then one comparison decides every length: all strings under a node
+        share its path label and the deepest node's leftmost string lies
+        under every shallower one, so ``pattern[:L]`` is valid iff its LCP
+        with that string is at least L.
         """
-        if not self.size:
-            return [], []
         node = self.root
-        lo = [node.lo]
-        hi = [node.hi]
-        depth = 0
+        depths = [0]
+        nodes = [node]
+        if not self.size:
+            return -1, depths, nodes
         limit = len(pattern)
+        depth = 0
         while depth < limit:
-            byte = pattern[depth]
-            for edge in node.edges:
-                if edge.first == byte:
-                    break
-            else:
+            child = node.children.get(pattern[depth])
+            if child is None:
                 break
-            node = edge.child
-            step = min(edge.length, limit - depth)
-            lo += [node.lo] * step
-            hi += [node.hi] * step
-            depth += step
+            node = child
+            depth = node.depth
+            depths.append(depth)
+            nodes.append(node)
+        if depth > limit:
+            depth = limit
         if depth:
             stored = self._access(node.lo - 1, 0, depth)
             diff = int.from_bytes(stored, "big") ^ int.from_bytes(pattern[:depth], "big")
             if diff:
                 # the highest differing bit sits in the first mismatching byte
-                lcp = depth - 1 - (diff.bit_length() - 1) // 8
-                del lo[lcp + 1 :], hi[lcp + 1 :]
-        return lo, hi
+                depth = depth - 1 - (diff.bit_length() - 1) // 8
+        return depth, depths, nodes
 
     def verify_locus(self, locus: Locus, pattern: bytes) -> Locus | None:
         """Check a candidate locus byte-for-byte against stored text.

@@ -3,6 +3,7 @@ implementations, and random data generators."""
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 
 from phylokmer.contexts import BoundaryContext
 from phylokmer.lz77 import Lz77Parse
@@ -98,8 +99,17 @@ def string_at(trie: CompactTrie, rank: int) -> bytes:
         raise ValueError(f"rank {rank} out of range 1..{trie.size}")
     node = trie.root
     while node.terminal_rank != rank:
-        node = next(e.child for e in node.edges if e.child.lo <= rank <= e.child.hi)
+        node = next(c for c in node.children.values() if c.lo <= rank <= c.hi)
     return trie._access(rank - 1, 0, node.depth)
+
+
+def prefix_intervals(trie: CompactTrie, pattern: bytes) -> tuple[list[int], list[int]]:
+    """Verified rank intervals ``(lo[L], hi[L])`` for every prefix length L of
+    ``pattern`` that some set string starts with, read off one ``descend``
+    chain; both lists are empty for an empty trie."""
+    length, depths, nodes = trie.descend(pattern)
+    chain = [nodes[bisect_left(depths, L)] for L in range(length + 1)]
+    return [node.lo for node in chain], [node.hi for node in chain]
 
 
 def candidate_prefixes(concatenation: Concatenation, parse: Lz77Parse) -> tuple[bytes, ...]:

@@ -1,11 +1,22 @@
 """End-to-end index behavior: side queries, classification, descent budget."""
 import dataclasses
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from helpers import fixture_genomes, fixture_tree, random_instance, random_pattern
-from phylokmer import build_index, classify, classify_with_stats, naive_classify, side_query
+from phylokmer import (
+    build_index,
+    classify,
+    classify_with_stats,
+    load_index,
+    naive_classify,
+    save_index,
+    side_query,
+)
 from phylokmer.model import GenomeRecord, parse_newick
 from phylokmer.oracle import kmer_occurrences
 
@@ -194,3 +205,34 @@ def test_kmer_only_in_leftmost_or_rightmost_genome():
     assert side_query(index, index.reverse, b"AC") == right
     for pattern in (b"CCGGGGA", b"TTAAAAA", b"GGGACACTTTT", b"CCCCGGGGAC", b"TTTTAAAAAC"):
         _assert_matches_reference(tree, genomes, pattern, range(1, len(pattern) + 1))
+
+
+def _benchmark_generator():
+    """The benchmark's seeded pangenome and read generator, ``perfbench/synth.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "synth.py"
+    spec = importlib.util.spec_from_file_location("perfbench_synth", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_realistic_pangenome_matches_reference_after_save_and_load(tmp_path):
+    # A 100 kB pangenome from the benchmark's generator, 9 of 30 reads novel.
+    synth = _benchmark_generator()
+    rng = random.Random("differential:1")
+    pangenome = synth.make_pangenome(rng, genomes=8, length=12_500)
+    reads = synth.make_reads(rng, pangenome, 30, 150, error_rate=0.01, novel_share=0.3)
+    tree = parse_newick(pangenome.newick)
+    genomes = [GenomeRecord(name, seq) for name, seq in pangenome.genomes]
+    assert sum(len(seq) for _, seq in pangenome.genomes) >= 100_000
+    save_index(build_index(tree, genomes), tmp_path / "pangenome.pkm")
+    index = load_index(tmp_path / "pangenome.pkm")
+    answers = set()
+    for read in reads:
+        for k in (1, 15, 31, 100):
+            got = classify(index, read, k)
+            assert got == naive_classify(tree, genomes, read, k), (read, k)
+            answers.update(r.answer for r in got)
+    # absent k-mers, the root and vertices below it all occur
+    assert None in answers and tree.root in answers and len(answers) > 3

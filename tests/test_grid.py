@@ -1,8 +1,10 @@
-"""Range-aggregate grid against a numpy linear scan."""
+"""Range-aggregate grid against a numpy linear scan and a brute-force scan."""
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phylokmer.grid import ContextGrid
 
@@ -105,3 +107,37 @@ def test_against_numpy_scan():
 def test_duplicate_labels_across_cells_are_fine():
     grid = ContextGrid([(1, 1, 7), (2, 2, 7), (3, 3, 7)], "max")
     assert grid.range_best(1, 3, 1, 3) == 7
+
+
+def test_every_size_up_to_70_points():
+    # Bottom-up trees over sizes that are not powers of two: every x range.
+    rng = random.Random(32)
+    for n in range(71):
+        points = [(x, rng.randint(1, 9), rng.randint(1, 30)) for x in range(1, n + 1)]
+        for aggregator, pick in (("min", min), ("max", max)):
+            grid = ContextGrid(points, aggregator)
+            for x1 in range(0, n + 2):
+                for x2 in range(x1, n + 2):
+                    y1 = rng.randint(0, 10)
+                    y2 = rng.randint(y1, 10)
+                    box = (x1, x2, y1, y2)
+                    assert grid.range_best(*box) == scan_best(points, box, pick), (n, box)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    points=st.lists(
+        st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 40)),
+        max_size=70,
+        unique_by=lambda p: p[:2],
+    ),
+    aggregator=st.sampled_from(["min", "max"]),
+    boxes=st.lists(st.tuples(*[st.integers(-1, 15)] * 4), min_size=1, max_size=20),
+)
+def test_matches_brute_force_scan(points, aggregator, boxes):
+    # Shared xs, shared ys and repeated labels; boxes may be empty, inverted
+    # (x1 > x2 or y1 > y2) or overhang the rank space on either side.
+    grid = ContextGrid(points, aggregator)
+    pick = min if aggregator == "min" else max
+    for box in boxes:
+        assert grid.range_best(*box) == scan_best(points, box, pick), box

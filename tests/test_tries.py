@@ -1,9 +1,10 @@
 """Compact tries: blind descent, lazy verification, rank intervals."""
 import random
+from bisect import bisect_left
 
 import pytest
 
-from helpers import string_at
+from helpers import prefix_intervals, string_at
 from phylokmer.engine import reversed_suffix_access
 from phylokmer.tries import build_trie
 
@@ -173,7 +174,7 @@ def test_text_access_extraction_matches_inline_storage():
 
 
 def _assert_intervals_match_verified_descents(trie, pattern):
-    lo, hi = trie.prefix_intervals(pattern)
+    lo, hi = prefix_intervals(trie, pattern)
     assert len(lo) == len(hi) <= len(pattern) + 1
     for length in range(len(pattern) + 1):
         want = descend_verified(trie, pattern[:length])
@@ -213,16 +214,16 @@ def test_prefix_intervals_match_descend_and_verify():
 
 
 def test_prefix_intervals_fixed_cases():
-    assert build_trie([]).prefix_intervals(b"ACG") == ([], [])
+    assert prefix_intervals(build_trie([]), b"ACG") == ([], [])
     one = build_trie([b"GATTACA"])
-    assert one.prefix_intervals(b"GATXACA") == ([1, 1, 1, 1], [1, 1, 1, 1])
-    assert one.prefix_intervals(b"") == ([1], [1])
+    assert prefix_intervals(one, b"GATXACA") == ([1, 1, 1, 1], [1, 1, 1, 1])
+    assert prefix_intervals(one, b"") == ([1], [1])
     nested = build_trie([b"A", b"AB", b"ABC"])
-    assert nested.prefix_intervals(b"ABCD") == ([1, 1, 2, 3], [3, 3, 3, 3])
+    assert prefix_intervals(nested, b"ABCD") == ([1, 1, 2, 3], [3, 3, 3, 3])
     # Mismatch deep inside the edge "TACAT" leading to "ATTACAT": lengths
     # from the mismatch on die even though the blind descent skips past it.
     trie = build_trie(PREFIX_STRINGS)
-    lo, hi = trie.prefix_intervals(b"ATTACXT")
+    lo, hi = prefix_intervals(trie, b"ATTACXT")
     assert list(zip(lo, hi)) == [(1, 8), (2, 5), (3, 5), (5, 5), (5, 5), (5, 5)]
 
 
@@ -250,4 +251,73 @@ def test_prefix_intervals_through_reversed_suffix_access():
                 probe[rng.randrange(len(probe))] = rng.choice(b"ACGT")
             probe = bytes(probe)
             _assert_intervals_match_verified_descents(via_text, probe)
-            assert via_text.prefix_intervals(probe) == plain.prefix_intervals(probe)
+            assert prefix_intervals(via_text, probe) == prefix_intervals(plain, probe)
+
+
+def _assert_descend_matches_verified_descents(trie, pattern):
+    """Every length up to ``descend``'s verified length reads its interval off
+    the chain; one byte longer fails verification unless it exceeds the pattern."""
+    length, depths, nodes = trie.descend(pattern)
+    assert nodes[0] is trie.root and depths == [node.depth for node in nodes]
+    assert all(a < b for a, b in zip(depths, depths[1:]))
+    assert -1 <= length <= len(pattern)
+    for L in range(1, length + 1):
+        want = descend_verified(trie, pattern[:L])
+        node = nodes[bisect_left(depths, L)]
+        assert want is not None and (node.lo, node.hi) == want.rank_interval, (pattern, L)
+    if length < len(pattern):
+        assert descend_verified(trie, pattern[: length + 1]) is None, (pattern, length)
+
+
+def test_descend_fixed_cases():
+    empty = build_trie([])
+    assert empty.descend(b"ACG") == (-1, [0], [empty.root])
+    one = build_trie([b"GATTACA"])
+    length, depths, _ = one.descend(b"GATXACA")
+    assert (length, depths) == (3, [0, 7])
+    assert one.descend(b"")[0] == 0
+    nested = build_trie([b"A", b"AB", b"ABC"])
+    length, depths, nodes = nested.descend(b"ABCD")
+    assert (length, depths) == (3, [0, 1, 2, 3])
+    assert [(n.lo, n.hi) for n in nodes] == [(1, 3), (1, 3), (2, 3), (3, 3)]
+    # Mismatch deep inside the edge "TACAT" leading to "ATTACAT": the walk
+    # reaches depth 7 and the one verification cuts it back to 5.
+    length, depths, _ = build_trie(PREFIX_STRINGS).descend(b"ATTACXT")
+    assert (length, depths) == (5, [0, 1, 2, 7])
+    for pattern in (b"ATTACXT", b"AGAT", b"AGATT", b"G", b"", b"TTACATA"):
+        _assert_descend_matches_verified_descents(build_trie(PREFIX_STRINGS), pattern)
+
+
+def test_descend_matches_descend_and_verify_with_both_extractors():
+    rng = random.Random(26)
+    for trial in range(200):
+        text = bytes(rng.choice(b"ACG") for _ in range(rng.randint(1, 60)))
+        where = {}
+        # trial 0: empty set; small pools give one-string sets, short
+        # strings over three letters give strings that prefix others.
+        for _ in range(0 if trial == 0 else rng.randint(1, 15)):
+            end = rng.randint(0, len(text))
+            length = rng.randint(0, min(end, 12))
+            where.setdefault(text[end - length : end], (end, length))
+        suffixes = sorted(where)
+        order = sorted(range(len(suffixes)), key=lambda r: suffixes[r][::-1])
+        reversed_strings = [suffixes[r][::-1] for r in order]
+        refs = [where[suffixes[r]] for r in order]
+        tries = (
+            build_trie(reversed_strings),
+            build_trie(reversed_strings, reversed_suffix_access(text, refs)),
+        )
+        for _ in range(10):
+            if reversed_strings and rng.random() < 0.7:
+                # Extend a set string, then mismatch somewhere inside it, so
+                # walks die or get cut mid-edge.
+                tail = bytes(rng.choice(b"ACG") for _ in range(rng.randint(0, 3)))
+                probe = bytearray(rng.choice(reversed_strings) + tail)
+                if probe and rng.random() < 0.6:
+                    probe[rng.randrange(len(probe))] = rng.choice(b"ACGT")
+                probe = bytes(probe)
+            else:
+                probe = bytes(rng.choice(b"ACGT") for _ in range(rng.randint(0, 10)))
+            for trie in tries:
+                _assert_descend_matches_verified_descents(trie, probe)
+            assert tries[0].descend(probe)[:2] == tries[1].descend(probe)[:2]
