@@ -146,11 +146,11 @@ class CompactTrie:
         the root, ``depths`` their depths; for 0 <= L <= length the strings
         starting with ``pattern[:L]`` are the ranks ``node.lo..node.hi`` of
         ``node = nodes[bisect_left(depths, L)]``, the node at the bottom of
-        the edge holding byte L.  The walk compares edge first bytes only,
-        then one comparison decides every length: all strings under a node
-        share its path label and the deepest node's leftmost string lies
-        under every shallower one, so ``pattern[:L]`` is valid iff its LCP
-        with that string is at least L.
+        the edge holding ``pattern[L - 1]``.  The walk compares edge first
+        bytes only, then one comparison decides every length: all strings
+        under a node share its path label and the deepest node's leftmost
+        string lies under every shallower one, so ``pattern[:L]`` is valid
+        iff its LCP with that string is at least L.
         """
         node = self.root
         depths = [0]
