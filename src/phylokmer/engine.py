@@ -42,14 +42,14 @@ class SideIndex:
     """One direction of the index: parse, context refs, tries, and labeled grid.
 
     ``text`` is the (possibly reversed) concatenation.  Context strings live
-    only as text refs: ``suffix_refs`` holds (end, length) per suffix-set
-    string in co-lex order, ``prefix_refs`` (start, length) per retained
-    prefix in lex order; list position + 1 is the string's rank and grid
-    coordinate.  ``suffix_trie`` is built over the reversed suffix strings,
-    so descending with a reversed k-mer fragment yields the co-lex rank range
-    of suffixes ending with that fragment; ``prefix_trie`` covers the
-    prefixes.  ``suffix_set`` and ``prefix_set`` read the strings back from
-    the refs on each access.
+    only as (start, length) refs: ``suffix_refs`` per suffix-set string in
+    co-lex order, into ``text[::-1]`` where the string reads reversed, and
+    ``prefix_refs`` per retained prefix in lex order, into ``text``; list
+    position + 1 is the string's rank and grid coordinate.  ``suffix_trie``
+    is built over the reversed suffix strings, so descending with a
+    reversed k-mer fragment yields the co-lex rank range of suffixes ending
+    with that fragment; ``prefix_trie`` covers the prefixes.  ``suffix_set``
+    and ``prefix_set`` read the strings back from the refs on each access.
     """
 
     text: bytes
@@ -63,7 +63,10 @@ class SideIndex:
 
     @property
     def suffix_set(self) -> contexts_mod.SuffixSet:
-        return contexts_mod.SuffixSet.of(self.text[end - n : end] for end, n in self.suffix_refs)
+        end = len(self.text)
+        return contexts_mod.SuffixSet.of(
+            self.text[end - start - n : end - start] for start, n in self.suffix_refs
+        )
 
     @property
     def prefix_set(self) -> contexts_mod.PrefixSet:
@@ -81,7 +84,7 @@ class KmerIndex:
     sentinel: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class KmerResult:
     """Answer for one k-mer: 1-based pattern position and vertex number (None = absent)."""
 
@@ -105,20 +108,8 @@ class QueryStats:
     grid_queries: int = 0
 
 
-def reversed_suffix_access(text: bytes, refs: Sequence[tuple[int, int]]) -> TextAccess:
-    """Extractor for reversed suffix-set strings stored as (end, length) text refs."""
-
-    def access(string_id: int, start: int, stop: int) -> bytes:
-        end, _ = refs[string_id]
-        # string s satisfies s[j] == text[end - 1 - j]
-        chunk = text[end - stop : end - start]
-        return chunk[::-1]
-
-    return access
-
-
 def prefix_access(text: bytes, refs: Sequence[tuple[int, int]]) -> TextAccess:
-    """Extractor for prefix-set strings stored as (start, length) text refs."""
+    """Extractor for set strings stored as (start, length) refs into ``text``."""
 
     def access(string_id: int, start: int, stop: int) -> bytes:
         pos, _ = refs[string_id]
@@ -145,7 +136,8 @@ def build_side(
     # Every ranked string occurs at a context's boundary: suffixes end there, prefixes start there.
     ends = {ctx.suffix: ctx.boundary_pos for ctx in ctxs}
     starts = {ctx.prefix: ctx.boundary_pos for ctx in ctxs}
-    suffix_refs = tuple((ends[s], len(s)) for s in suffix_set.strings)
+    # A suffix ending at e is read, reversed, from len(text) - e of text[::-1].
+    suffix_refs = tuple((len(text) - ends[s], len(s)) for s in suffix_set.strings)
     prefix_refs = tuple((starts[p], len(p)) for p in prefix_set.strings)
     # Co-lex order of the suffixes is lex order of their reversals.
     reversed_suffixes = [s[::-1] for s in suffix_set.strings]
@@ -154,7 +146,7 @@ def build_side(
         parse=parse,
         suffix_refs=suffix_refs,
         prefix_refs=prefix_refs,
-        suffix_trie=build_trie(reversed_suffixes, reversed_suffix_access(text, suffix_refs)),
+        suffix_trie=build_trie(reversed_suffixes, prefix_access(text[::-1], suffix_refs)),
         prefix_trie=build_trie(prefix_set.strings, prefix_access(text, prefix_refs)),
         grid=ContextGrid(points, aggregate),
         is_reverse=is_reverse,

@@ -4,13 +4,16 @@ Vertices are identified by their 1-based in-order numbers: a vertex is
 numbered directly after its first child subtree, so leaf numbers increase
 left to right and, for a strictly binary tree with g leaves, leaf i gets
 number 2i - 1.  All downstream structures speak these numbers.
+``parse_newick`` gives them while it reads the string, and every tree,
+parsed or loaded from an index file, is checked by ``tree_from_parents``.
 """
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 DEFAULT_SENTINEL = b"$"
 
@@ -92,7 +95,7 @@ def _read_text(source: str | IO[str]) -> str:
     return source if isinstance(source, str) else source.read()
 
 
-_LABEL_FORBIDDEN = set("();,:")
+_TOKEN = re.compile(r"[^();,:\s]*")
 
 
 def parse_newick(source: str | IO[str]) -> PhyloTree:
@@ -102,87 +105,87 @@ def parse_newick(source: str | IO[str]) -> PhyloTree:
     branch lengths (parsed, then ignored).  Unary groups such as ``(A);``
     collapse onto their only child.  Leaf labels must be unique and
     non-empty; quoted labels and comments are not supported.
+
+    One pass numbers the vertices in order: a leaf when it is read, a group
+    at its first comma, right after its first child's subtree.  A group
+    without a comma is unary and collapses onto its child at ``)``.
     """
     text = _read_text(source)
-
-    # Temporary node records: children lists index into these arrays.
-    kids: list[list[int]] = []
-    names: list[str | None] = []
-
-    def new_node(children: list[int], label: str | None) -> int:
-        kids.append(children)
-        names.append(label)
-        return len(kids) - 1
-
+    parent: list[int] = [0]
+    labels: list[str | None] = [None]
     pos = 0
-    n = len(text)
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
 
     def read_label() -> str:
+        """The label at pos; a branch length after it is checked and skipped."""
         nonlocal pos
-        start = pos
-        while pos < n and text[pos] not in _LABEL_FORBIDDEN and not text[pos].isspace():
-            pos += 1
-        return text[start:pos]
-
-    def skip_branch_length() -> None:
-        nonlocal pos
-        if pos < n and text[pos] == ":":
-            pos += 1
-            start = pos
-            while pos < n and text[pos] not in _LABEL_FORBIDDEN and not text[pos].isspace():
-                pos += 1
+        start, pos = pos, _TOKEN.match(text, pos).end()
+        label = text[start:pos]
+        if text.startswith(":", pos):
+            start, pos = pos + 1, _TOKEN.match(text, pos + 1).end()
             try:
                 float(text[start:pos])
             except ValueError:
                 raise NewickError(f"bad branch length at offset {start}") from None
+        return label
 
-    # stack holds the child lists of currently open groups; expect tracks how
-    # many children each group must have collected so far (commas seen + 1),
-    # which catches empty slots such as "(,B)" or "(A,)".
-    stack: list[list[int]] = [[]]
-    expect: list[int] = [1]
+    # One [vertex, first child] per open group, the vertex 0 until the first
+    # comma numbers it; the bottom entry holds the whole tree.  filled says
+    # whether the innermost group's current slot holds a subtree yet.
+    stack = [[0, 0]]
+    filled = False
+
+    def fill_slot(child: int) -> None:
+        nonlocal filled
+        group = stack[-1]
+        if group[0]:
+            parent[child] = group[0]
+        else:
+            group[1] = child
+        filled = True
+
     saw_semicolon = False
-    while pos < n:
-        skip_ws()
-        if pos >= n:
-            break
+    while pos < len(text):
         ch = text[pos]
-        if ch == "(":
-            stack.append([])
-            expect.append(1)
+        if ch.isspace():
             pos += 1
-        elif ch == ",":
-            if len(stack) < 2:
-                raise NewickError(f"comma outside a group at offset {pos}")
-            if len(stack[-1]) != expect[-1]:
-                raise NewickError(f"empty group slot at offset {pos}")
-            expect[-1] += 1
-            pos += 1
-        elif ch == ")":
-            if len(stack) < 2:
-                raise NewickError(f"unbalanced ')' at offset {pos}")
-            group = stack.pop()
-            if len(group) != expect.pop():
-                raise NewickError(f"empty group slot at offset {pos}")
-            pos += 1
-            label = read_label()
-            skip_branch_length()
-            stack[-1].append(new_node(group, label or None))
         elif ch == ";":
             pos += 1
             saw_semicolon = True
             break
-        else:
+        elif ch == ",":
+            if len(stack) < 2:
+                raise NewickError(f"comma outside a group at offset {pos}")
+            if not filled:
+                raise NewickError(f"empty group slot at offset {pos}")
+            group = stack[-1]
+            if not group[0]:
+                group[0] = parent[group[1]] = len(parent)
+                parent.append(0)
+                labels.append(None)
+            filled = False
+            pos += 1
+        elif ch == ")":
+            if len(stack) < 2:
+                raise NewickError(f"unbalanced ')' at offset {pos}")
+            if not filled:
+                raise NewickError(f"empty group slot at offset {pos}")
+            vertex, first = stack.pop()
+            pos += 1
             label = read_label()
-            if not label:
-                raise NewickError(f"unexpected character {ch!r} at offset {pos}")
-            skip_branch_length()
-            stack[-1].append(new_node([], label))
+            if vertex:
+                labels[vertex] = label or None
+            fill_slot(vertex or first)
+        elif filled:
+            raise NewickError(f"missing ',' at offset {pos}")
+        elif ch == "(":
+            stack.append([0, 0])
+            pos += 1
+        elif ch == ":":
+            raise NewickError(f"unexpected character {ch!r} at offset {pos}")
+        else:
+            parent.append(0)
+            labels.append(read_label())
+            fill_slot(len(parent) - 1)
 
     if not saw_semicolon:
         raise NewickError("missing terminating ';'")
@@ -190,76 +193,63 @@ def parse_newick(source: str | IO[str]) -> PhyloTree:
         raise NewickError("trailing content after ';'")
     if len(stack) != 1:
         raise NewickError("unbalanced '('")
-    if len(stack[0]) != 1:
+    if not filled:
         raise NewickError("expected exactly one top-level subtree")
+    try:
+        return tree_from_parents(parent, labels)
+    except ValueError as exc:
+        raise NewickError(str(exc)) from None
 
-    # Splice out unary groups (iteratively, so deep trees are safe); the
-    # single child takes the node's place.
-    root_tmp = stack[0][0]
-    while len(kids[root_tmp]) == 1:
-        root_tmp = kids[root_tmp][0]
-    work = [root_tmp]
+
+def tree_from_parents(parent: Sequence[int], labels: Sequence[str | None]) -> PhyloTree:
+    """The tree with these parents and labels, slot 0 unused; children, root
+    and leaves are derived.
+
+    Raises ValueError unless the tree has one root and no cycle, its vertices
+    are numbered in order, and its leaf labels are unique and non-empty.
+    """
+    count = len(parent) - 1
+    children: list[list[int]] = [[] for _ in range(count + 1)]
+    for v in range(1, count + 1):
+        p = parent[v]
+        if not 0 <= p <= count:
+            raise ValueError(f"vertex {v} has parent {p} outside 0..{count}")
+        children[p].append(v)
+    roots, children[0] = children[0], []
+    if len(roots) != 1:
+        raise ValueError(f"tree has {len(roots)} roots")
+    # In-order walk from the root, a vertex right after its first child's
+    # subtree (-v marks that slot).  Vertices on a cycle are never reached.
+    order = []
+    work = [roots[0]]
     while work:
-        node = work.pop()
-        new_children = []
-        for c in kids[node]:
-            while len(kids[c]) == 1:
-                c = kids[c][0]
-            new_children.append(c)
-            work.append(c)
-        kids[node] = new_children
-
-    return _number_tree(root_tmp, kids, names)
-
-
-def _number_tree(root_tmp: int, kids: list[list[int]], names: list[str | None]) -> PhyloTree:
-    """Assign in-order numbers (vertex after its first child subtree) and freeze arrays."""
-    number: dict[int, int] = {}
-    next_number = 1
-    # Work items: ("visit", node) expands, ("number", node) assigns.
-    work: list[tuple[str, int]] = [("visit", root_tmp)]
-    while work:
-        action, node = work.pop()
-        if action == "number" or not kids[node]:
-            number[node] = next_number
-            next_number += 1
-            continue
-        children = kids[node]
-        rest = [("visit", c) for c in children[1:]]
-        work.extend(reversed(rest))
-        work.append(("number", node))
-        work.append(("visit", children[0]))
-
-    count = len(number)
-    parent = [0] * (count + 1)
-    children_arr: list[tuple[int, ...]] = [()] * (count + 1)
-    labels: list[str | None] = [None] * (count + 1)
-    leaves = []
-    for tmp, num in number.items():
-        children_arr[num] = tuple(number[c] for c in kids[tmp])
-        labels[num] = names[tmp]
-        for c in kids[tmp]:
-            parent[number[c]] = num
-        if not kids[tmp]:
-            leaves.append(num)
-    leaves.sort()
-
+        v = work.pop()
+        kids = children[v] if v > 0 else ()
+        if kids:
+            work += [*reversed(kids[1:]), -v, kids[0]]
+        else:
+            order.append(abs(v))
+    if len(order) != count:
+        raise ValueError("tree has a cycle")
+    # The engine needs leaf numbers in left-to-right order: min and max
+    # leaves of a genome set then span the smallest subtree holding it.
+    if order != list(range(1, count + 1)):
+        raise ValueError("tree vertices are not numbered in order")
+    leaves = tuple(v for v in order if not children[v])
     seen: set[str] = set()
     for v in leaves:
         label = labels[v]
         if not label:
-            raise NewickError("leaf without a label")
+            raise ValueError("leaf without a label")
         if label in seen:
-            raise NewickError(f"duplicate leaf label {label!r}")
+            raise ValueError(f"duplicate leaf label {label!r}")
         seen.add(label)
-
-    root = parent.index(0, 1)
     return PhyloTree(
         parent=tuple(parent),
-        children=tuple(children_arr),
+        children=tuple(map(tuple, children)),
         labels=tuple(labels),
-        root=root,
-        leaves=tuple(leaves),
+        root=roots[0],
+        leaves=leaves,
     )
 
 

@@ -12,12 +12,14 @@ same ``engine.build_side`` the build uses, and the LCA tables.
 ``save_index`` writes a temporary file next to the target, fsyncs it and
 renames it over the target, so a failed save leaves the previous file as it
 was.  ``load_index`` checks the magic, the version and the CRC, then the
-structure: a tree with one root, no cycle and in-order vertex numbers,
-UTF-8 labels, one genome per leaf, and phrases that tile the text and copy
-what their earlier sources hold.  That is all an exact answer needs: every
-k-mer's leftmost occurrence then crosses a phrase boundary.  Any failure
-raises IndexFileError.  Version 1 and 2 files are rejected ("unsupported
-format version ...") and must be rebuilt.
+structure: UTF-8 labels, a tree that passes the checks ``parse_newick``
+trees pass (``model.tree_from_parents``: one root, no cycle, in-order
+vertex numbers, unique non-empty leaf labels), one genome per leaf, and
+phrases that tile the text and copy what their earlier sources hold.
+That is all an exact answer needs: every k-mer's leftmost occurrence then
+crosses a phrase boundary.  Any failure raises IndexFileError.  Version 1
+and 2 files are rejected ("unsupported format version ...") and must be
+rebuilt.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from .engine import KmerIndex, assemble_index
 from .grid import ContextGrid  # noqa: F401 -- perfbench/tracing.py wraps store.ContextGrid
 from .lca import build_lca  # noqa: F401 -- perfbench/tracing.py wraps store.build_lca
 from .lz77 import Lz77Parse, Phrase
-from .model import GenomeRecord, PhyloTree, build_concatenation
+from .model import GenomeRecord, PhyloTree, build_concatenation, tree_from_parents
 from .tries import build_trie  # noqa: F401 -- perfbench/tracing.py wraps store.build_trie
 
 MAGIC = b"PKMRIDX\x00"
@@ -88,36 +90,8 @@ def _write_tree(out: list[bytes], tree: PhyloTree) -> None:
 
 def _read_tree(src: _Reader) -> PhyloTree:
     parents, sizes = src.section("IH")
-    count = len(parents)
-    labels = [None] + [None if n == _NO_LABEL else src.take(n).decode("utf-8") for n in sizes]
-    children: list[list[int]] = [[] for _ in range(count + 1)]
-    for v, p in enumerate(parents, 1):
-        _check(p <= count, f"vertex {v} has parent {p} outside 0..{count}")
-        children[p].append(v)
-    roots, children[0] = children[0], []
-    _check(len(roots) == 1, f"tree has {len(roots)} roots")
-    # In-order walk from the root, a vertex right after its first child's
-    # subtree (-v marks that slot).  Vertices on a cycle are never reached.
-    order = []
-    work = [roots[0]]
-    while work:
-        v = work.pop()
-        kids = children[v] if v > 0 else ()
-        if kids:
-            work += [*reversed(kids[1:]), -v, kids[0]]
-        else:
-            order.append(abs(v))
-    _check(len(order) == count, "tree has a cycle")
-    # The engine needs leaf numbers in left-to-right order: min and max
-    # leaves of a genome set then span the smallest subtree holding it.
-    _check(order == list(range(1, count + 1)), "tree vertices are not numbered in order")
-    return PhyloTree(
-        parent=(0, *parents),
-        children=tuple(tuple(c) for c in children),
-        labels=tuple(labels),
-        root=roots[0],
-        leaves=tuple(v for v in range(1, count + 1) if not children[v]),
-    )
+    labels = [None if n == _NO_LABEL else src.take(n).decode("utf-8") for n in sizes]
+    return tree_from_parents((0, *parents), (None, *labels))
 
 
 def _write_parse(out: list[bytes], parse: Lz77Parse) -> None:

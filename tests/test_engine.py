@@ -236,3 +236,62 @@ def test_realistic_pangenome_matches_reference_after_save_and_load(tmp_path):
             answers.update(r.answer for r in got)
     # absent k-mers, the root and vertices below it all occur
     assert None in answers and tree.root in answers and len(answers) > 3
+
+
+def _edge_case(name: str):
+    """(newick, genomes, sentinel, patterns) of one named edge case."""
+    rng = random.Random(name)
+    if name == "caterpillar":
+        # (((L0,L1),L2),...): leaf i sits 999 - i levels deep.  The genomes
+        # are distinct and the patterns few, since the reference walks up
+        # the tree once per genome holding a k-mer.
+        newick = "L0"
+        for i in range(1, 1000):
+            newick = f"({newick},L{i})"
+        seqs = set()
+        while len(seqs) < 1000:
+            seqs.add(bytes(rng.choice(b"ACGT") for _ in range(8)))
+        seqs = sorted(seqs)
+        rng.shuffle(seqs)
+        patterns = [seqs[0] + seqs[1][:4], seqs[500][2:] + seqs[999]]
+        return newick + ";", seqs, b"$", patterns
+    if name == "ten_way":
+        seqs = [bytes(rng.choice(b"ACGT") for _ in range(12)) for _ in range(10)]
+        newick = "(" + ",".join(f"L{i}" for i in range(10)) + ");"
+        return newick, seqs, b"$", [seqs[3] + seqs[7], seqs[9][::-1] + seqs[0][:5]]
+    if name == "one_byte_genomes":
+        return "((L0,L1),(L2,(L3,L4)));", [b"A", b"C", b"A", b"G", b"A"], b"$", [b"ACGTA"]
+    if name == "identical_genomes":
+        seqs = [b"GATTACAGATTTACA"] * 5
+        return "((L0,L1),(L2,(L3,L4)));", seqs, b"$", [b"TTACAGATTTACAGG", b"CAGATT"]
+    # every byte but the sentinel, spread over three genomes with repeats
+    sentinel = bytes([int(name.rsplit("_", 1)[1], 16)])
+    alphabet = bytes(b for b in range(256) if bytes([b]) != sentinel)
+    pool = list(alphabet) + [rng.choice(alphabet) for _ in range(45)]
+    rng.shuffle(pool)
+    seqs = [bytes(pool[i::3]) for i in range(3)]
+    return "(L0,(L1,L2));", seqs, sentinel, [seqs[1][10:40] + seqs[2][:30], seqs[0]]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param("caterpillar", marks=pytest.mark.slow),
+        "ten_way",
+        "one_byte_genomes",
+        "identical_genomes",
+        "every_byte_but_24",
+        "every_byte_but_00",
+        "every_byte_but_ff",
+    ],
+)
+def test_edge_cases_match_reference_after_save_and_load(case, tmp_path):
+    newick, seqs, sentinel, patterns = _edge_case(case)
+    tree = parse_newick(newick)
+    genomes = [GenomeRecord(f"L{i}", seq) for i, seq in enumerate(seqs)]
+    save_index(build_index(tree, genomes, sentinel), tmp_path / "edge.pkm")
+    index = load_index(tmp_path / "edge.pkm")
+    for pattern in patterns:
+        for k in range(1, max(map(len, seqs)) + 1):
+            got = classify(index, pattern, k)
+            assert got == naive_classify(tree, genomes, pattern, k), (pattern, k)

@@ -19,6 +19,7 @@ from phylokmer.model import (
     parse_fasta,
     parse_newick,
     reverse_concatenation,
+    tree_from_parents,
 )
 
 
@@ -86,6 +87,30 @@ def test_in_order_children_ascend_through_parent():
         for v in range(1, tree.vertex_count + 1):
             if tree.children[v]:
                 assert tree.children[v][0] < v < tree.children[v][-1]
+
+
+def test_tree_from_parents_rebuilds_parsed_trees():
+    rng = random.Random(103)
+    for trial in range(40):
+        labels = [f"L{i}" for i in range(rng.randint(1, 300))]
+        tree = parse_newick(random_tree_newick(rng, labels, multifurcating=trial % 2 == 1))
+        assert tree_from_parents(tree.parent, tree.labels) == tree
+
+
+def test_tree_from_parents_rejects_swapped_numbers():
+    # A binary tree's leaves hold exactly the odd numbers, so a leaf and an
+    # internal vertex that trade numbers break the in-order numbering.
+    rng = random.Random(104)
+    for _ in range(50):
+        tree = parse_newick(random_tree_newick(rng, [f"L{i}" for i in range(rng.randint(2, 40))]))
+        u, w = rng.choice(tree.leaves), rng.randrange(2, tree.vertex_count, 2)
+        swap = {u: w, w: u}
+        parent, labels = list(tree.parent), list(tree.labels)
+        for v in range(1, tree.vertex_count + 1):
+            parent[swap.get(v, v)] = swap.get(tree.parent[v], tree.parent[v])
+            labels[swap.get(v, v)] = tree.labels[v]
+        with pytest.raises(ValueError, match="not numbered in order"):
+            tree_from_parents(parent, labels)
 
 
 @pytest.mark.parametrize(

@@ -141,6 +141,11 @@ def test_every_single_bit_flip_is_rejected(worked_index, tmp_path):
         (HEAD + 4 + 2 * 4, struct.pack("<I", 8), "not numbered in order"),
         # First label byte, after 9 parents (u32) and 9 label sizes (u16).
         (HEAD + 4 + 9 * 6, b"\xff", "utf-8"),
+        # Label sizes of vertices 1 to 3, after the 9 parents: leaf 1 loses
+        # its label and leaf 3 takes both, so 5 genomes still meet 5 leaves.
+        (HEAD + 4 + 9 * 4, struct.pack("<3H", 0xFFFF, 0xFFFF, 16), "leaf without a label"),
+        # Leaf 3's label AGATACAT rewritten to leaf 1's.
+        (HEAD + 4 + 9 * 6 + 8, b"GATTACAT", "duplicate leaf label 'GATTACAT'"),
         # The last forward phrase moved far past the end of the text.
         (LAST_FORWARD_START, struct.pack("<Q", 1_000_000), "phrase at 1000000"),
         # Its source, 26 (stored as 27), shifted by 3: still before the phrase.

@@ -5,7 +5,7 @@ from bisect import bisect_left
 import pytest
 
 from helpers import prefix_intervals, string_at
-from phylokmer.engine import reversed_suffix_access
+from phylokmer.engine import prefix_access
 from phylokmer.tries import build_trie
 
 PREFIX_STRINGS = [b"", b"AGAT", b"AT", b"ATACAT", b"ATTACAT", b"CAT", b"TACAT", b"TTACAT"]
@@ -227,9 +227,9 @@ def test_prefix_intervals_fixed_cases():
     assert list(zip(lo, hi)) == [(1, 8), (2, 5), (3, 5), (5, 5), (5, 5), (5, 5)]
 
 
-def test_prefix_intervals_through_reversed_suffix_access():
-    # The engine's extractor for suffix-set strings: each is stored as the
-    # (end, length) of one occurrence in the text and read back reversed.
+def test_prefix_intervals_through_reversed_text_refs():
+    # How the engine reads suffix-set strings: each reversed string is stored
+    # as the (start, length) of one occurrence in the reversed text.
     rng = random.Random(25)
     for _ in range(60):
         text = bytes(rng.choice(b"ACG") for _ in range(rng.randint(1, 60)))
@@ -237,12 +237,12 @@ def test_prefix_intervals_through_reversed_suffix_access():
         for _ in range(rng.randint(1, 15)):
             end = rng.randint(0, len(text))
             length = rng.randint(0, min(end, 10))
-            where.setdefault(text[end - length : end], (end, length))
+            where.setdefault(text[end - length : end], (len(text) - end, length))
         suffixes = sorted(where)
         order = sorted(range(len(suffixes)), key=lambda r: suffixes[r][::-1])
         reversed_strings = [suffixes[r][::-1] for r in order]
         refs = [where[suffixes[r]] for r in order]
-        via_text = build_trie(reversed_strings, reversed_suffix_access(text, refs))
+        via_text = build_trie(reversed_strings, prefix_access(text[::-1], refs))
         plain = build_trie(reversed_strings)
         for _ in range(15):
             end = rng.randint(0, len(text))
@@ -298,14 +298,14 @@ def test_descend_matches_descend_and_verify_with_both_extractors():
         for _ in range(0 if trial == 0 else rng.randint(1, 15)):
             end = rng.randint(0, len(text))
             length = rng.randint(0, min(end, 12))
-            where.setdefault(text[end - length : end], (end, length))
+            where.setdefault(text[end - length : end], (len(text) - end, length))
         suffixes = sorted(where)
         order = sorted(range(len(suffixes)), key=lambda r: suffixes[r][::-1])
         reversed_strings = [suffixes[r][::-1] for r in order]
         refs = [where[suffixes[r]] for r in order]
         tries = (
             build_trie(reversed_strings),
-            build_trie(reversed_strings, reversed_suffix_access(text, refs)),
+            build_trie(reversed_strings, prefix_access(text[::-1], refs)),
         )
         for _ in range(10):
             if reversed_strings and rng.random() < 0.7:
