@@ -9,6 +9,8 @@ NULL), vertex label (empty when the vertex has none).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 from typing import IO, Iterator
 
@@ -114,37 +116,39 @@ def cmd_query(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    sentinel = bytes([index.sentinel]).decode("latin-1")
+    sentinel = bytes([index.sentinel])
     out = sys.stdout
-    if args.tsv:
-        try:
-            out = open(args.tsv, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
     try:
+        if args.tsv:
+            out = open(args.tsv, "w", encoding="utf-8")
         if args.pattern is not None:
-            if sentinel.encode("latin-1") in pattern:
+            if sentinel in pattern:
                 print("error: pattern contains the sentinel byte", file=sys.stderr)
                 return 1
             _emit_rows(index, "pattern", pattern, args.k, out)
         else:
-            try:
-                with open(args.reads, "r", encoding="latin-1") as fh:
-                    for read_id, seq in _read_fastq(fh, args.reads):
-                        if sentinel.encode("latin-1") in seq:
-                            print(
-                                f"warning: read {read_id!r} contains the sentinel byte; skipped",
-                                file=sys.stderr,
-                            )
-                            continue
-                        _emit_rows(index, read_id, seq, args.k, out)
-            except (OSError, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
+            with open(args.reads, "r", encoding="latin-1") as fh:
+                for read_id, seq in _read_fastq(fh, args.reads):
+                    if sentinel in seq:
+                        print(
+                            f"warning: read {read_id!r} contains the sentinel byte; skipped",
+                            file=sys.stderr,
+                        )
+                        continue
+                    _emit_rows(index, read_id, seq, args.k, out)
+        out.flush()  # so that a failed write is reported here, not at exit
+    except (OSError, ValueError) as exc:
+        if isinstance(exc, BrokenPipeError) and out is sys.stdout:
+            # the interpreter flushes stdout again at exit: send that to devnull
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     finally:
         if out is not sys.stdout:
-            out.close()
+            with contextlib.suppress(OSError):  # a failed write was reported above
+                out.close()
     return 0
 
 

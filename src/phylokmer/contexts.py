@@ -1,60 +1,85 @@
 """Phrase-boundary contexts: maximal sentinel-free suffixes and prefixes.
 
 A boundary context pairs the maximal sentinel-free suffix of the phrase
-ending at a boundary with the maximal sentinel-free prefix starting there.
-Suffixes are ranked co-lexicographically, prefixes lexicographically; those
-ranks are the grid coordinates downstream.
+ending at a boundary with the maximal sentinel-free prefix starting there,
+as positions into the text: a prefix runs to the end of its genome, so
+copies would cost the phrase count times the genome length.  Suffixes are
+ranked co-lexicographically, prefixes lexicographically, by sorting
+positions on bounded slices; the ranks are the grid coordinates downstream.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .lz77 import Lz77Parse
 from .model import Concatenation
 
 
-@dataclass(frozen=True)
-class _RankedStrings:
-    strings: tuple[bytes, ...]
-    rank: dict[bytes, int] = field(compare=False)
-
-    @classmethod
-    def of(cls, strings: Iterable[bytes]):
-        """The set of already sorted, distinct ``strings``, ranked 1-based."""
-        strings = tuple(strings)
-        return cls(strings=strings, rank={s: i + 1 for i, s in enumerate(strings)})
-
-    def __len__(self) -> int:
-        return len(self.strings)
-
-
-class SuffixSet(_RankedStrings):
-    """Distinct non-empty maximal phrase suffixes, co-lex sorted, ranks 1-based."""
-
-
-class PrefixSet(_RankedStrings):
-    """Retained maximal boundary prefixes (empty string included), lex sorted."""
-
-
 class BoundaryContext(NamedTuple):
-    """Context at one phrase boundary.
-
-    ``genome`` is the 1-based ordinal of the genome containing position
-    ``boundary_pos - 1``; emitted contexts always have a non-empty suffix, so
-    that byte is never a sentinel.
-    """
+    """Context at one phrase boundary: suffix ``text[suffix_start:boundary_pos]``,
+    prefix ``text[boundary_pos:prefix_end]``.  ``genome`` is the 1-based
+    ordinal of the genome holding ``boundary_pos - 1``; emitted contexts
+    have a non-empty suffix, so that byte is never a sentinel."""
 
     boundary_pos: int
-    suffix: bytes
-    prefix: bytes
+    suffix_start: int
+    prefix_end: int
     genome: int
+    text: bytes
+
+    @property
+    def suffix(self) -> bytes:
+        return self.text[self.suffix_start : self.boundary_pos]
+
+    @property
+    def prefix(self) -> bytes:
+        return self.text[self.boundary_pos : self.prefix_end]
+
+
+class Ranking(NamedTuple):
+    """``refs[r - 1]``: (start, length) of the rank-r string at its last
+    occurrence; ``ranks[i]``: 1-based rank of context i's string."""
+
+    refs: tuple[tuple[int, int], ...]
+    ranks: list[int]
+
+
+def rank_slices(text: bytes, starts: Sequence[int], stops: Sequence[int]) -> Ranking:
+    """Lex-rank the strings ``text[starts[i]:stops[i]]``, equal ones alike: sort by
+    the first 64 bytes, then re-sort each group of equal full-width keys by the
+    next bytes, doubling the width each round.  Equal keys shorter than the width
+    end their strings, so each string is sliced about twice as far as it ties."""
+    ranks = [0] * len(starts)
+    refs: list[tuple[int, int]] = []
+
+    def sort(ids: Sequence[int], offset: int, width: int) -> None:
+        stop = offset + width
+        keys = [text[starts[i] + offset : min(starts[i] + stop, stops[i])] for i in ids]
+        # stable, so the last of a run of equal keys is its last occurrence
+        order = sorted(range(len(ids)), key=keys.__getitem__)
+        lo = 0
+        while lo < len(order):
+            key = keys[order[lo]]
+            hi = lo + 1
+            while hi < len(order) and keys[order[hi]] == key:
+                hi += 1
+            if hi - lo > 1 and len(key) == width:
+                sort([ids[j] for j in order[lo:hi]], stop, 2 * width)
+            else:  # one string
+                i = ids[order[hi - 1]]
+                refs.append((starts[i], stops[i] - starts[i]))
+                for j in order[lo:hi]:
+                    ranks[ids[j]] = len(refs)
+            lo = hi
+
+    sort(range(len(starts)), 0, 64)
+    return Ranking(tuple(refs), ranks)
 
 
 def build_context_sets(
     concatenation: Concatenation, parse: Lz77Parse
-) -> tuple[SuffixSet, PrefixSet, list[BoundaryContext]]:
-    """Derive the suffix set, the retained prefix set, and all boundary contexts.
+) -> tuple[Ranking, Ranking, list[BoundaryContext]]:
+    """Rank the suffixes and the retained prefixes, and list all boundary contexts.
 
     One BoundaryContext is emitted per boundary whose preceding phrase has a
     non-empty maximal suffix; boundary 0 has no preceding phrase.  A
@@ -62,7 +87,8 @@ def build_context_sets(
     pass over consecutive boundaries: the genome holding the byte before a
     boundary bounds both strings, the suffix by the genome's start and the
     prefix by its end, and boundaries only grow, so its ordinal is found by
-    walking ``genome_spans`` forward.
+    walking ``genome_spans`` forward.  Suffix refs point into the reversed
+    text, where each suffix reads left to right from ``len(text) - end``.
     """
     text = concatenation.text
     sentinel = concatenation.sentinel
@@ -76,17 +102,17 @@ def build_context_sets(
         while spans[g][1] < end:
             g += 1
         g_start, g_end = spans[g]
-        contexts.append(
-            BoundaryContext(end, text[max(start, g_start) : end], text[end:g_end], g + 1)
-        )
-    suffixes = SuffixSet.of(sorted({c.suffix for c in contexts}, key=lambda s: s[::-1]))
-    return suffixes, PrefixSet.of(sorted({c.prefix for c in contexts})), contexts
+        contexts.append(BoundaryContext(end, max(start, g_start), g_end, g + 1, text))
+    ends = [c.boundary_pos for c in contexts]
+    n = len(text)
+    suffixes = rank_slices(text[::-1], [n - e for e in ends], [n - c.suffix_start for c in contexts])
+    return suffixes, rank_slices(text, ends, [c.prefix_end for c in contexts]), contexts
 
 
 def grid_points(
     contexts: Sequence[BoundaryContext],
-    suffixes: SuffixSet,
-    prefixes: PrefixSet,
+    suffixes: Ranking,
+    prefixes: Ranking,
     aggregate: str,
     leaf_vertices: Sequence[int],
 ) -> list[tuple[int, int, int]]:
@@ -101,11 +127,8 @@ def grid_points(
         raise ValueError(f"aggregate must be 'min' or 'max', got {aggregate!r}")
     pick = min if aggregate == "min" else max
     best: dict[tuple[int, int], int] = {}
-    for ctx in contexts:
-        key = (suffixes.rank[ctx.suffix], prefixes.rank[ctx.prefix])
+    for ctx, x, y in zip(contexts, suffixes.ranks, prefixes.ranks):
         vertex = leaf_vertices[ctx.genome - 1]
-        if key in best:
-            best[key] = pick(best[key], vertex)
-        else:
-            best[key] = vertex
+        key = (x, y)
+        best[key] = pick(best[key], vertex) if key in best else vertex
     return [(x, y, label) for (x, y), label in sorted(best.items())]

@@ -34,7 +34,8 @@ from .model import (
     build_concatenation,
     reverse_concatenation,
 )
-from .tries import CompactTrie, TextAccess, build_trie
+from .tries import CompactTrie, build_trie
+from .tries import prefix_access  # noqa: F401 -- re-exported, tests read refs with it
 
 
 @dataclass(frozen=True)
@@ -48,8 +49,9 @@ class SideIndex:
     position + 1 is the string's rank and grid coordinate.  ``suffix_trie``
     is built over the reversed suffix strings, so descending with a
     reversed k-mer fragment yields the co-lex rank range of suffixes ending
-    with that fragment; ``prefix_trie`` covers the prefixes.  ``suffix_set``
-    and ``prefix_set`` read the strings back from the refs on each access.
+    with that fragment; ``prefix_trie`` covers the prefixes.  Both tries
+    are built from the refs, and ``suffix_set`` and ``prefix_set`` read the
+    strings back from them on each access, for tests and counts only.
     """
 
     text: bytes
@@ -62,15 +64,13 @@ class SideIndex:
     is_reverse: bool
 
     @property
-    def suffix_set(self) -> contexts_mod.SuffixSet:
+    def suffix_set(self) -> tuple[bytes, ...]:
         end = len(self.text)
-        return contexts_mod.SuffixSet.of(
-            self.text[end - start - n : end - start] for start, n in self.suffix_refs
-        )
+        return tuple(self.text[end - start - n : end - start] for start, n in self.suffix_refs)
 
     @property
-    def prefix_set(self) -> contexts_mod.PrefixSet:
-        return contexts_mod.PrefixSet.of(self.text[pos : pos + n] for pos, n in self.prefix_refs)
+    def prefix_set(self) -> tuple[bytes, ...]:
+        return tuple(self.text[pos : pos + n] for pos, n in self.prefix_refs)
 
 
 @dataclass(frozen=True)
@@ -108,16 +108,6 @@ class QueryStats:
     grid_queries: int = 0
 
 
-def prefix_access(text: bytes, refs: Sequence[tuple[int, int]]) -> TextAccess:
-    """Extractor for set strings stored as (start, length) refs into ``text``."""
-
-    def access(string_id: int, start: int, stop: int) -> bytes:
-        pos, _ = refs[string_id]
-        return text[pos + start : pos + stop]
-
-    return access
-
-
 def build_side(
     concatenation: Concatenation,
     parse: lz77_mod.Lz77Parse,
@@ -130,24 +120,17 @@ def build_side(
     this text's genome ordinals to tree vertex numbers.
     """
     text = concatenation.text
-    suffix_set, prefix_set, ctxs = contexts_mod.build_context_sets(concatenation, parse)
+    suffixes, prefixes, ctxs = contexts_mod.build_context_sets(concatenation, parse)
     aggregate = "max" if is_reverse else "min"
-    points = contexts_mod.grid_points(ctxs, suffix_set, prefix_set, aggregate, leaf_vertices)
-    # Every ranked string occurs at a context's boundary: suffixes end there, prefixes start there.
-    ends = {ctx.suffix: ctx.boundary_pos for ctx in ctxs}
-    starts = {ctx.prefix: ctx.boundary_pos for ctx in ctxs}
-    # A suffix ending at e is read, reversed, from len(text) - e of text[::-1].
-    suffix_refs = tuple((len(text) - ends[s], len(s)) for s in suffix_set.strings)
-    prefix_refs = tuple((starts[p], len(p)) for p in prefix_set.strings)
-    # Co-lex order of the suffixes is lex order of their reversals.
-    reversed_suffixes = [s[::-1] for s in suffix_set.strings]
+    points = contexts_mod.grid_points(ctxs, suffixes, prefixes, aggregate, leaf_vertices)
     return SideIndex(
         text=text,
         parse=parse,
-        suffix_refs=suffix_refs,
-        prefix_refs=prefix_refs,
-        suffix_trie=build_trie(reversed_suffixes, prefix_access(text[::-1], suffix_refs)),
-        prefix_trie=build_trie(prefix_set.strings, prefix_access(text, prefix_refs)),
+        suffix_refs=suffixes.refs,
+        prefix_refs=prefixes.refs,
+        # Co-lex order of the suffixes is lex order of the reversed text's refs.
+        suffix_trie=build_trie(text=text[::-1], refs=suffixes.refs),
+        prefix_trie=build_trie(text=text, refs=prefixes.refs),
         grid=ContextGrid(points, aggregate),
         is_reverse=is_reverse,
     )

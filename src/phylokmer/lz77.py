@@ -45,25 +45,26 @@ class Lz77Parse:
         return len(self.phrases)
 
 
-def _extend(text: bytes, source: int, i: int, length: int) -> int:
-    """Grow a match of ``length`` bytes between ``source`` and ``i`` to its end.
+def common_prefix(text: bytes, a: int, b: int, limit: int) -> int:
+    """Length of the common prefix of ``text[a : a + limit]`` and ``text[b : b + limit]``.
 
-    Compares 64-byte slices while they agree, then takes the LCP of the
-    last (shorter) pair from the XOR of their big-endian integers.  Slices
-    of ``text`` itself make self-overlapping sources (source + length > i)
-    compare correctly.
+    Compares slices of 64 bytes, doubling in width, while they agree; in the
+    first pair that differs, the top set bit of the XOR of their big-endian
+    integers sits in the first differing byte.  Ranges may overlap.
     """
-    n = len(text)
-    a, b = source + length, i + length
-    while b + 64 <= n and text[a : a + 64] == text[b : b + 64]:
-        a += 64
-        b += 64
-    tail = min(64, n - b)
-    diff = int.from_bytes(text[a : a + tail], "big") ^ int.from_bytes(text[b : b + tail], "big")
-    if diff:
-        # the highest differing bit sits in the first mismatching byte
-        tail -= 1 + (diff.bit_length() - 1) // 8
-    return b + tail - i
+    done = 0
+    step = 64
+    while done < limit:
+        if step > limit - done:
+            step = limit - done
+        x = text[a + done : a + done + step]
+        y = text[b + done : b + done + step]
+        if x != y:
+            diff = int.from_bytes(x, "big") ^ int.from_bytes(y, "big")
+            return done + step - 1 - (diff.bit_length() - 1) // 8
+        done += step
+        step += step
+    return done
 
 
 def lz77_parse(text: bytes) -> Lz77Parse:
@@ -94,7 +95,8 @@ def lz77_parse(text: bytes) -> Lz77Parse:
             if j < 0:
                 break
             source, start = j, j + 1
-            match_len = _extend(text, j, i, match_len + 1)
+            match_len += 1
+            match_len += common_prefix(text, j + match_len, i + match_len, n - i - match_len)
         end = i + match_len
         literal = text[end] if end < n else None
         phrases.append(Phrase(start=i, match_len=match_len, source=source, literal=literal))
@@ -102,20 +104,3 @@ def lz77_parse(text: bytes) -> Lz77Parse:
     boundaries.append(n)
     return Lz77Parse(phrases=tuple(phrases), boundary_positions=tuple(boundaries))
 
-
-def reconstruct(parse: Lz77Parse) -> bytes:
-    """Decode the parse back into the original text.
-
-    Copies byte by byte so self-overlapping sources reconstruct correctly.
-    """
-    out = bytearray()
-    for phrase in parse.phrases:
-        if phrase.match_len:
-            src = phrase.source
-            if src is None or src >= phrase.start:
-                raise ValueError("corrupt phrase: bad source")
-            for k in range(phrase.match_len):
-                out.append(out[src + k])
-        if phrase.literal is not None:
-            out.append(phrase.literal)
-    return bytes(out)

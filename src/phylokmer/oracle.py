@@ -23,14 +23,6 @@ def _leaf_sequences(tree: PhyloTree, genomes: Iterable[GenomeRecord]) -> list[by
     return out
 
 
-def kmer_occurrences(tree: PhyloTree, genomes: Iterable[GenomeRecord], kmer: bytes) -> set[int]:
-    """1-based ordinals (in leaf order) of the genomes containing ``kmer``."""
-    if not kmer:
-        raise ValueError("empty k-mer")
-    sequences = _leaf_sequences(tree, genomes)
-    return {i + 1 for i, seq in enumerate(sequences) if kmer in seq}
-
-
 def _walk_lca(tree: PhyloTree, u: int, v: int) -> int:
     ancestors = set()
     node = u

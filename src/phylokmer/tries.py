@@ -1,6 +1,7 @@
 """Compact tries with blind descent and one verification per descent.
 
-Built over a sorted set of byte strings.  Each node maps the first byte of
+Built over sorted byte strings, given as (start, length) refs into one
+text, in one pass over adjacent pairs.  Each node maps the first byte of
 each outgoing edge to its child; an edge's length is the difference of the
 two depths and its label is never stored, since every string under a node
 shares that node's path label.  Descent compares only those first bytes
@@ -15,8 +16,12 @@ sort before outgoing edges, so leaf ranks in left-to-right order equal the
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
+
+from .lz77 import common_prefix
 
 TextAccess = Callable[[int, int, int], bytes]
 
@@ -50,61 +55,50 @@ class Locus:
 
 
 class CompactTrie:
-    """Compact trie over a lex-sorted, deduplicated set of byte strings."""
+    """Compact trie over lex-sorted, distinct strings given as (start, length)
+    refs into ``text``; ``access`` overrides how descents read them back."""
 
-    def __init__(self, strings: Sequence[bytes], text_access: TextAccess | None = None):
-        strings = list(strings)
-        for a, b in zip(strings, strings[1:]):
-            if a >= b:
-                raise ValueError("strings must be sorted and deduplicated")
-        if text_access is None:
-            kept = tuple(strings)
-
-            def text_access(string_id: int, start: int, stop: int) -> bytes:
-                return kept[string_id][start:stop]
-
-        self._access = text_access
-        self.size = len(strings)
-        self.root = self._build(strings)
-        self._root_locus = (
-            Locus(matched_depth=0, lo=1, hi=self.size, candidate=False) if self.size else None
-        )
+    def __init__(self, text: bytes, refs: Sequence[tuple[int, int]], access: TextAccess | None):
+        self._access = access or prefix_access(text, refs)
+        self.size = len(refs)
+        self.root = self._build(text, refs)
 
     @staticmethod
-    def _build(strings: list[bytes]) -> _Node:
-        root = _Node(lo=1, hi=len(strings), depth=0)
-        if not strings:
-            return root
-        work = [(root, 0, len(strings))]
-        while work:
-            node, i, j = work.pop()
-            depth = node.depth
-            k = i
-            if len(strings[k]) == depth:
-                node.terminal_rank = k + 1
-                k += 1
-            while k < j:
-                first = strings[k][depth]
-                g = k + 1
-                while g < j and strings[g][depth] == first:
-                    g += 1
-                # Edge label: common prefix of the group, cut where its first
-                # (shortest possible) member ends.
-                if g - k == 1:
-                    child_depth = len(strings[k])
-                else:
-                    a, b = strings[k], strings[g - 1]
-                    limit = min(len(a), len(b))
-                    child_depth = depth
-                    while child_depth < limit and a[child_depth] == b[child_depth]:
-                        child_depth += 1
-                child = node.children[first] = _Node(lo=k + 1, hi=g, depth=child_depth)
-                work.append((child, k, g))
-                k = g
+    def _build(text: bytes, refs: Sequence[tuple[int, int]]) -> _Node:
+        """One pass keeping the rightmost path on a stack: each string's LCP
+        with its predecessor closes the path nodes deeper than it, splits the
+        edge it ends inside, if any, and shows whether the pair is in strict
+        lex order; the string hangs below the path node at that depth."""
+        root = _Node(lo=1, hi=len(refs), depth=0)
+        path = [root]
+        prev = prev_len = 0
+        for rank, (pos, length) in enumerate(refs, start=1):
+            lcp = common_prefix(text, prev, pos, min(prev_len, length))  # 0 for the first
+            if rank > 1 and (lcp == length or lcp < prev_len and text[prev + lcp] > text[pos + lcp]):
+                raise ValueError("strings must be sorted and deduplicated")
+            while path[-1].depth > lcp:
+                below = path.pop()
+                below.hi = rank - 1
+            parent = path[-1]
+            if parent.depth < lcp:
+                # the LCP ends inside the edge down to ``below``: split it there
+                mid = _Node(lo=below.lo, hi=0, depth=lcp)
+                mid.children[text[prev + lcp]] = below
+                parent.children[text[prev + parent.depth]] = mid
+                path.append(mid)
+                parent = mid
+            node = parent
+            if length > parent.depth:  # else the empty string, at the root
+                node = parent.children[text[pos + parent.depth]] = _Node(rank, 0, length)
+                path.append(node)
+            node.terminal_rank = rank
+            prev, prev_len = pos, length
+        for node in path[1:]:
+            node.hi = len(refs)
         return root
 
     def root_locus(self) -> Locus | None:
-        return self._root_locus
+        return Locus(matched_depth=0, lo=1, hi=self.size, candidate=False) if self.size else None
 
     def blind_descend(self, pattern: bytes) -> Locus | None:
         """Candidate locus for ``pattern``, or None if the descent dies.
@@ -112,8 +106,7 @@ class CompactTrie:
         Only edge first bytes are compared; skipped bytes may mismatch, so a
         returned locus needs ``verify_locus`` unless the pattern is empty.
         """
-        table = self.loci_for_pattern_extensions(pattern, len(pattern))
-        return table[len(pattern)]
+        return self.loci_for_pattern_extensions(pattern, len(pattern))[-1]
 
     def loci_for_pattern_extensions(self, pattern: bytes, max_len: int) -> list[Locus | None]:
         """Candidate loci for every prefix of ``pattern`` up to ``max_len`` bytes.
@@ -122,20 +115,15 @@ class CompactTrie:
         0 is the root locus).  Once the descent dies every longer entry is
         None.
         """
-        limit = min(max_len, len(pattern))
+        pattern = pattern[:max_len]
+        _, depths, nodes = self.descend(pattern)  # its walk is the blind descent
         out: list[Locus | None] = [self.root_locus()]
-        if self.size == 0:
-            out.extend([None] * limit)
-            return out
-        below = self.root  # the node at the bottom of the edge being read
-        for idx in range(limit):
-            if idx == below.depth:
-                below = below.children.get(pattern[idx])
-                if below is None:
-                    out.extend([None] * (limit - idx))
-                    return out
-            # inside an edge the byte is skipped blindly
-            out.append(Locus(matched_depth=idx + 1, lo=below.lo, hi=below.hi, candidate=True))
+        for length in range(1, len(pattern) + 1):
+            if length > depths[-1]:
+                out.append(None)
+            else:
+                node = nodes[bisect_left(depths, length)]
+                out.append(Locus(matched_depth=length, lo=node.lo, hi=node.hi, candidate=True))
         return out
 
     def descend(self, pattern: bytes) -> tuple[int, list[int], list[_Node]]:
@@ -193,10 +181,32 @@ class CompactTrie:
         return Locus(matched_depth=locus.matched_depth, lo=locus.lo, hi=locus.hi, candidate=False)
 
 
-def build_trie(strings: Sequence[bytes], text_access: TextAccess | None = None) -> CompactTrie:
-    """Build a CompactTrie; ``strings`` must be lex-sorted and deduplicated.
+def prefix_access(text: bytes, refs: Sequence[tuple[int, int]]) -> TextAccess:
+    """Extractor for set strings stored as (start, length) refs into ``text``."""
 
+    def access(string_id: int, start: int, stop: int) -> bytes:
+        pos, _ = refs[string_id]
+        return text[pos + start : pos + stop]
+
+    return access
+
+
+def build_trie(
+    strings: Sequence[bytes] = (),
+    text_access: TextAccess | None = None,
+    *,
+    text: bytes | None = None,
+    refs: Sequence[tuple[int, int]] = (),
+) -> CompactTrie:
+    """Build a CompactTrie over lex-sorted, deduplicated strings.
+
+    The strings are (start, length) ``refs`` into ``text``; plain
+    ``strings`` are joined into one text first, so both take the same path.
     ``text_access(string_id, start, stop)`` extracts bytes of a set string;
-    by default the strings themselves are retained for extraction.
+    by default it slices ``text``.
     """
-    return CompactTrie(strings, text_access)
+    if text is None:
+        text = b"".join(strings)
+        lengths = [len(s) for s in strings]
+        refs = list(zip(accumulate(lengths, initial=0), lengths))
+    return CompactTrie(text, refs, text_access)

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from typing import NamedTuple
 
-from phylokmer.contexts import BoundaryContext
 from phylokmer.lz77 import Lz77Parse
 from phylokmer.model import (
     Concatenation,
@@ -14,7 +14,7 @@ from phylokmer.model import (
     genome_of_position,
     parse_newick,
 )
-from phylokmer.tries import CompactTrie
+from phylokmer.tries import CompactTrie, _Node
 
 FIXTURE_NEWICK = "((GATTACAT,(AGATACAT,GATACAT)),(GATTAGAT,GATTAGATA));"
 FIXTURE_NAMES = ("GATTACAT", "AGATACAT", "GATACAT", "GATTAGAT", "GATTAGATA")
@@ -59,6 +59,33 @@ def reference_lz77_boundaries(text: bytes) -> list[int]:
     return bounds
 
 
+def reconstruct(parse: Lz77Parse) -> bytes:
+    """Decode the parse back into the original text.
+
+    Copies byte by byte so self-overlapping sources reconstruct correctly.
+    """
+    out = bytearray()
+    for phrase in parse.phrases:
+        if phrase.match_len:
+            src = phrase.source
+            if src is None or src >= phrase.start:
+                raise ValueError("corrupt phrase: bad source")
+            for k in range(phrase.match_len):
+                out.append(out[src + k])
+        if phrase.literal is not None:
+            out.append(phrase.literal)
+    return bytes(out)
+
+
+def kmer_occurrences(tree: PhyloTree, genomes, kmer: bytes) -> set[int]:
+    """1-based ordinals (in leaf order) of the genomes containing ``kmer``."""
+    if not kmer:
+        raise ValueError("empty k-mer")
+    by_name = {rec.name: rec.sequence for rec in genomes}
+    sequences = [by_name[tree.labels[v]] for v in tree.leaves]
+    return {i + 1 for i, seq in enumerate(sequences) if kmer in seq}
+
+
 def phrase_texts(parse: Lz77Parse, text: bytes) -> list[bytes]:
     """The byte content of each phrase, sliced from the original text."""
     return [text[p.start : p.start + p.length] for p in parse.phrases]
@@ -78,7 +105,16 @@ def max_prefix_at(text: bytes, pos: int, sentinel: int = 0x24) -> bytes:
     return text[pos:] if cut < 0 else text[pos:cut]
 
 
-def reference_contexts(concatenation: Concatenation, parse: Lz77Parse) -> list[BoundaryContext]:
+class ByteContext(NamedTuple):
+    """A boundary context with its suffix and prefix copied out as bytes."""
+
+    boundary_pos: int
+    suffix: bytes
+    prefix: bytes
+    genome: int
+
+
+def reference_contexts(concatenation: Concatenation, parse: Lz77Parse) -> list[ByteContext]:
     """Boundary contexts by a sentinel search per phrase and per boundary."""
     text = concatenation.text
     sentinel = concatenation.sentinel
@@ -89,7 +125,94 @@ def reference_contexts(concatenation: Concatenation, parse: Lz77Parse) -> list[B
         if suffix:
             prefix = max_prefix_at(text, end, sentinel)
             genome = genome_of_position(concatenation, end - 1)
-            out.append(BoundaryContext(end, suffix, prefix, genome))
+            out.append(ByteContext(end, suffix, prefix, genome))
+    return out
+
+
+def reference_context_sets(
+    concatenation: Concatenation, parse: Lz77Parse
+) -> tuple[tuple[bytes, ...], tuple[bytes, ...], list[ByteContext]]:
+    """Suffix set (co-lex sorted), retained prefix set (lex sorted) and
+    contexts, with every context string copied out and sorted as bytes."""
+    text = concatenation.text
+    sentinel = concatenation.sentinel
+    spans = concatenation.genome_spans
+    bounds = parse.boundary_positions
+    contexts: list[ByteContext] = []
+    g = 0
+    for start, end in zip(bounds, bounds[1:]):
+        if text[end - 1] == sentinel:
+            continue
+        while spans[g][1] < end:
+            g += 1
+        g_start, g_end = spans[g]
+        contexts.append(ByteContext(end, text[max(start, g_start) : end], text[end:g_end], g + 1))
+    suffixes = tuple(sorted({c.suffix for c in contexts}, key=lambda s: s[::-1]))
+    return suffixes, tuple(sorted({c.prefix for c in contexts})), contexts
+
+
+def reference_grid_points(
+    contexts: list[ByteContext],
+    suffixes: tuple[bytes, ...],
+    prefixes: tuple[bytes, ...],
+    aggregate: str,
+    leaf_vertices,
+) -> list[tuple[int, int, int]]:
+    """Grid points keyed through byte-string rank dicts."""
+    x_rank = {s: i + 1 for i, s in enumerate(suffixes)}
+    y_rank = {p: i + 1 for i, p in enumerate(prefixes)}
+    pick = min if aggregate == "min" else max
+    best: dict[tuple[int, int], int] = {}
+    for ctx in contexts:
+        key = (x_rank[ctx.suffix], y_rank[ctx.prefix])
+        vertex = leaf_vertices[ctx.genome - 1]
+        best[key] = pick(best[key], vertex) if key in best else vertex
+    return [(x, y, label) for (x, y), label in sorted(best.items())]
+
+
+def reference_trie(strings: list[bytes]) -> _Node:
+    """Root of the compact trie over sorted, distinct ``strings``, built one
+    node at a time by grouping each node's strings on their next byte."""
+    root = _Node(lo=1, hi=len(strings), depth=0)
+    if not strings:
+        return root
+    work = [(root, 0, len(strings))]
+    while work:
+        node, i, j = work.pop()
+        depth = node.depth
+        k = i
+        if len(strings[k]) == depth:
+            node.terminal_rank = k + 1
+            k += 1
+        while k < j:
+            first = strings[k][depth]
+            g = k + 1
+            while g < j and strings[g][depth] == first:
+                g += 1
+            # Edge label: common prefix of the group, cut where its first
+            # (shortest possible) member ends.
+            if g - k == 1:
+                child_depth = len(strings[k])
+            else:
+                a, b = strings[k], strings[g - 1]
+                limit = min(len(a), len(b))
+                child_depth = depth
+                while child_depth < limit and a[child_depth] == b[child_depth]:
+                    child_depth += 1
+            child = node.children[first] = _Node(lo=k + 1, hi=g, depth=child_depth)
+            work.append((child, k, g))
+            k = g
+    return root
+
+
+def trie_shape(node: _Node) -> list[tuple]:
+    """Every node's (lo, hi, depth, terminal_rank, child keys), in preorder."""
+    out = []
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        out.append((n.lo, n.hi, n.depth, n.terminal_rank, list(n.children)))
+        stack.extend(reversed(list(n.children.values())))
     return out
 
 

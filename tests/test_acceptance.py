@@ -17,6 +17,7 @@ from helpers import (
     random_instance,
     random_pattern,
     random_tree_newick,
+    reconstruct,
     reference_lz77_boundaries,
 )
 from phylokmer import (
@@ -30,7 +31,7 @@ from phylokmer import (
 )
 from phylokmer.grid import ContextGrid
 from phylokmer.lca import build_lca, lca
-from phylokmer.lz77 import lz77_parse, reconstruct
+from phylokmer.lz77 import lz77_parse
 from phylokmer.model import parse_newick
 from phylokmer.tries import build_trie
 
@@ -55,10 +56,10 @@ def test_criterion_1_worked_example():
         assert index.forward.text == FIXTURE_TEXT
         assert index.forward.parse.z == 12
         assert index.forward.parse.boundary_positions == (0, 1, 2, 3, 5, 6, 9, 11, 14, 19, 30, 35, 44)
-        assert index.forward.suffix_set.strings == (
+        assert index.forward.suffix_set == (
             b"A", b"TA", b"ATA", b"GATTAGATA", b"C", b"G", b"AG", b"T", b"GATT",
         )
-        assert index.forward.prefix_set.strings == (
+        assert index.forward.prefix_set == (
             b"", b"AGAT", b"AT", b"ATACAT", b"ATTACAT", b"CAT", b"TACAT", b"TTACAT",
         )
         assert index.forward.grid.points == (

@@ -1,4 +1,8 @@
 """Command line round trips driven through main()."""
+import errno
+import os
+import sys
+
 import pytest
 
 from helpers import FIXTURE_NEWICK, FIXTURE_NAMES
@@ -229,3 +233,46 @@ def test_build_too_long_label_is_one_line_error(tmp_path, capsys):
     code = main(["build", "--tree", str(tree), "--genomes", str(fasta), "--out", str(out)])
     _assert_one_line_error(code, capsys, "label too long")
     assert not out.exists()
+
+
+def _query_args(index, source, tmp_path):
+    if source == "pattern":
+        return ["query", "--index", str(index), "--pattern", "TAGACA", "-k", "3"]
+    reads = tmp_path / "reads.fq"
+    reads.write_text("@r1\nTAGA\n+\nIIII\n@r2\nGACA\n+\nIIII\n")
+    return ["query", "--index", str(index), "--reads", str(reads), "-k", "3"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("source", ["pattern", "reads"])
+def test_query_tsv_on_full_device_is_one_line_error(built, capsys, tmp_path, source):
+    code = main(_query_args(built, source, tmp_path) + ["--tsv", "/dev/full"])
+    _assert_one_line_error(code, capsys, f"[Errno {errno.ENOSPC}]")
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away; ``fileno`` is a file of the test's."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self._fd
+
+
+@pytest.mark.parametrize("source", ["pattern", "reads"])
+def test_query_broken_pipe_is_one_line_error(built, capsys, tmp_path, monkeypatch, source):
+    sink = tmp_path / "stdout"
+    with open(sink, "wb") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
+        code = main(_query_args(built, source, tmp_path))
+        # What the interpreter's flush at exit would write now goes to devnull.
+        os.write(fh.fileno(), b"rows")
+    _assert_one_line_error(code, capsys, "Broken pipe")
+    assert sink.read_bytes() == b""

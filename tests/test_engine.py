@@ -3,11 +3,18 @@ import dataclasses
 import importlib.util
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from helpers import fixture_genomes, fixture_tree, random_instance, random_pattern
+from helpers import (
+    fixture_genomes,
+    fixture_tree,
+    kmer_occurrences,
+    random_instance,
+    random_pattern,
+)
 from phylokmer import (
     build_index,
     classify,
@@ -18,7 +25,6 @@ from phylokmer import (
     side_query,
 )
 from phylokmer.model import GenomeRecord, parse_newick
-from phylokmer.oracle import kmer_occurrences
 
 
 def test_fixture_side_shapes(worked_index):
@@ -236,6 +242,34 @@ def test_realistic_pangenome_matches_reference_after_save_and_load(tmp_path):
             answers.update(r.answer for r in got)
     # absent k-mers, the root and vertices below it all occur
     assert None in answers and tree.root in answers and len(answers) > 3
+
+
+@pytest.mark.slow
+def test_large_pangenome_load_memory_and_whole_genome_queries(tmp_path):
+    # 8 x 25 kB from the benchmark's generator.  Loading keeps no copy of
+    # the boundary prefixes, which would cost the phrase count times the
+    # genome length; the index it returns is what the heap should hold.
+    synth = _benchmark_generator()
+    rng = random.Random("scale:1")
+    pangenome = synth.make_pangenome(rng, genomes=8, length=25_000)
+    reads = synth.make_reads(rng, pangenome, 4, 150, error_rate=0.01, novel_share=0.25)
+    tree = parse_newick(pangenome.newick)
+    genomes = [GenomeRecord(name, seq) for name, seq in pangenome.genomes]
+    save_index(build_index(tree, genomes), tmp_path / "large.pkm")
+    tracemalloc.start()
+    try:
+        index = load_index(tmp_path / "large.pkm")
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * kept, f"load peaked at {peak / 2**20:.1f} MB, kept {kept / 2**20:.1f} MB"
+    mutated = bytearray(genomes[5].sequence)
+    middle = len(mutated) // 2
+    mutated[middle] = b"C"[0] if mutated[middle] != b"C"[0] else b"G"[0]
+    patterns = [(genomes[i].sequence, len(genomes[i].sequence)) for i in (0, 3, 7)]
+    patterns += [(bytes(mutated), len(mutated))] + [(read, 31) for read in reads]
+    for pattern, k in patterns:
+        assert classify(index, pattern, k) == naive_classify(tree, genomes, pattern, k), k
 
 
 def _edge_case(name: str):

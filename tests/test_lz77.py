@@ -9,10 +9,11 @@ from helpers import (
     FIXTURE_TEXT,
     phrase_texts,
     random_dna,
+    reconstruct,
     reference_longest_match,
     reference_lz77_boundaries,
 )
-from phylokmer.lz77 import lz77_parse, reconstruct
+from phylokmer.lz77 import lz77_parse
 
 FIXTURE_PHRASES = [
     b"G",

@@ -1,9 +1,9 @@
 """The brute-force reference itself, pinned on hand-checked values."""
 import pytest
 
-from helpers import fixture_genomes, fixture_tree
+from helpers import fixture_genomes, fixture_tree, kmer_occurrences
 from phylokmer.model import GenomeRecord, parse_newick
-from phylokmer.oracle import kmer_occurrences, naive_classify
+from phylokmer.oracle import naive_classify
 
 
 def test_fixture_occurrences():

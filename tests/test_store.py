@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import FIXTURE_NAMES, FIXTURE_TEXT, random_instance, random_pattern
+from helpers import (
+    FIXTURE_NAMES,
+    FIXTURE_TEXT,
+    random_instance,
+    random_pattern,
+    reference_context_sets,
+)
 from phylokmer import (
     GenomeRecord,
     build_concatenation,
@@ -18,7 +24,6 @@ from phylokmer import (
     naive_classify,
     save_index,
 )
-from phylokmer.contexts import build_context_sets
 from phylokmer.lz77 import lz77_parse
 from phylokmer.model import reverse_concatenation
 from phylokmer.store import MAGIC, IndexFileError
@@ -68,9 +73,9 @@ def test_random_round_trips(tmp_path):
             assert side.prefix_refs == built.prefix_refs
             assert side.grid.points == built.grid.points
             # The refs point at exactly the context layer's strings.
-            suffixes, prefixes, _ = build_context_sets(cat, lz77_parse(cat.text))
-            assert side.suffix_set.strings == suffixes.strings
-            assert side.prefix_set.strings == prefixes.strings
+            suffixes, prefixes, _ = reference_context_sets(cat, lz77_parse(cat.text))
+            assert side.suffix_set == suffixes
+            assert side.prefix_set == prefixes
         for _ in range(8):
             pattern = random_pattern(rng, genomes, max_len=12)
             k = rng.randint(1, len(pattern))

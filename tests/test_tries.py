@@ -4,7 +4,7 @@ from bisect import bisect_left
 
 import pytest
 
-from helpers import prefix_intervals, string_at
+from helpers import prefix_intervals, reference_trie, string_at, trie_shape
 from phylokmer.engine import prefix_access
 from phylokmer.tries import build_trie
 
@@ -321,3 +321,51 @@ def test_descend_matches_descend_and_verify_with_both_extractors():
             for trie in tries:
                 _assert_descend_matches_verified_descents(trie, probe)
             assert tries[0].descend(probe)[:2] == tries[1].descend(probe)[:2]
+
+
+def _random_sorted_set(rng, trial):
+    """Sorted distinct strings: the empty string, chains of strings that
+    prefix each other, and pairs whose LCPs run past 64 bytes."""
+    pool = set()
+    for _ in range(rng.randint(0, 12)):
+        pool.add(bytes(rng.choice(b"AC") for _ in range(rng.randint(0, 6))))
+    if trial % 3 == 0:
+        pool.add(b"")
+    if trial % 2:
+        stem = bytes(rng.choice(b"ACGT") for _ in range(rng.choice([63, 64, 65, 128, 200])))
+        for cut in sorted(rng.sample(range(len(stem) + 1), 4)):
+            pool.add(stem[:cut])  # a chain of prefixes
+            pool.add(stem[:cut] + bytes([rng.choice(b"\x00AZ\xff")]))
+    return sorted(pool)
+
+
+def test_trie_from_refs_matches_per_depth_reference():
+    rng = random.Random(27)
+    for trial in range(400):
+        strings = _random_sorted_set(rng, trial)
+        want = trie_shape(reference_trie(strings))
+        assert trie_shape(build_trie(strings).root) == want, strings
+        # The same strings as refs scattered through one text, in any order.
+        order = list(range(len(strings)))
+        rng.shuffle(order)
+        text = b""
+        refs = [None] * len(strings)
+        for r in order:
+            text += bytes(rng.choice(b"ACGT") for _ in range(rng.randint(0, 3)))
+            refs[r] = (len(text), len(strings[r]))
+            text += strings[r]
+        assert trie_shape(build_trie(text=text, refs=refs).root) == want, strings
+
+
+def test_build_from_refs_rejects_unsorted_or_duplicate_strings():
+    rng = random.Random(28)
+    bad_pairs = [(b"B", b"A"), (b"A", b"A"), (b"AB", b"A"), (b"A", b""), (b"", b"")]
+    long = bytes(rng.choice(b"ACGT") for _ in range(150))
+    bad_pairs += [(long + b"C", long + b"A"), (long, long), (long + b"A", long)]
+    for a, b in bad_pairs:
+        with pytest.raises(ValueError, match="sorted and deduplicated"):
+            build_trie([a, b])
+        with pytest.raises(ValueError, match="sorted and deduplicated"):
+            build_trie(text=b + b"$" + a, refs=[(len(b) + 1, len(a)), (0, len(b))])
+        if a != b:
+            build_trie([b, a])  # the other order is fine
