@@ -14,6 +14,7 @@ from phylokmer.model import (
     genome_of_position,
     parse_newick,
 )
+from phylokmer.oracle import _leaf_sequences
 from phylokmer.tries import CompactTrie, _Node
 
 FIXTURE_NEWICK = "((GATTACAT,(AGATACAT,GATACAT)),(GATTAGAT,GATTAGATA));"
@@ -81,9 +82,7 @@ def kmer_occurrences(tree: PhyloTree, genomes, kmer: bytes) -> set[int]:
     """1-based ordinals (in leaf order) of the genomes containing ``kmer``."""
     if not kmer:
         raise ValueError("empty k-mer")
-    by_name = {rec.name: rec.sequence for rec in genomes}
-    sequences = [by_name[tree.labels[v]] for v in tree.leaves]
-    return {i + 1 for i, seq in enumerate(sequences) if kmer in seq}
+    return {i + 1 for i, seq in enumerate(_leaf_sequences(tree, genomes)) if kmer in seq}
 
 
 def phrase_texts(parse: Lz77Parse, text: bytes) -> list[bytes]:
