@@ -8,19 +8,21 @@ leaves, the root of the smallest subtree containing every genome where the
 k-mer occurs.  k is chosen per query, never at build time.
 
 Per classify call, trie work is shared across k-mers: one descent per
-pattern position and trie family (at most 4m descents for a pattern of
-length m), memoized for the call.  Each descent is verified once and keeps
-its verified length and node chain: a split whose alpha or beta part is
-longer than that length is skipped outright, and only a split that
-reaches the grid bisects the chains for its rank box.  Both sides run one
-split loop, the reverse side over the reversed pattern; a side stops at
-its leftmost (rightmost) leaf, and the reverse side is not asked about a
-k-mer the forward side found nowhere.
+live pattern cut and trie family (at most 4m descents for a pattern of
+length m), memoized for the call.  A cut is live when, for the largest
+power of two H with 2H - 1 <= k, the H bytes left of it end a suffix
+string or the H bytes right of it start a prefix string.  Each descent
+is verified once and keeps its verified length and node chain: a split
+whose alpha or beta part is longer than that length is skipped outright,
+and only a split that reaches the grid bisects the chains for its rank
+box.  Both sides run one split loop, the reverse side over the reversed
+pattern; a side stops at its leftmost (rightmost) leaf, and the reverse
+side is not asked about a k-mer the forward side found nowhere.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from . import contexts as contexts_mod
@@ -35,7 +37,6 @@ from .model import (
     reverse_concatenation,
 )
 from .tries import CompactTrie, build_trie
-from .tries import prefix_access  # noqa: F401 -- re-exported, tests read refs with it
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,18 @@ class SideIndex:
     prefix_trie: CompactTrie
     grid: ContextGrid
     is_reverse: bool
+    heads: dict[int, tuple] = field(default_factory=dict, compare=False, repr=False)
+
+    def head_tables(self, h: int) -> tuple[frozenset[bytes], frozenset[bytes]]:
+        """The first ``h`` bytes of each reversed suffix string and each prefix
+        string of ``h`` bytes or more; made on first use, kept in ``heads``."""
+        if h not in self.heads:
+            flipped = self.text[::-1]
+            self.heads[h] = (
+                frozenset(flipped[s : s + h] for s, n in self.suffix_refs if n >= h),
+                frozenset(self.text[p : p + h] for p, n in self.prefix_refs if n >= h),
+            )
+        return self.heads[h]
 
     @property
     def suffix_set(self) -> tuple[bytes, ...]:
@@ -97,9 +110,9 @@ class KmerResult:
 class QueryStats:
     """Instrumentation for one classify call.
 
-    ``descents`` counts trie descents, one per memo miss.  ``verifications``
-    counts comparisons with stored text; each descent makes exactly one,
-    which verifies all of its prefix lengths, so it equals ``descents``.
+    ``descents`` counts trie descents, one per memo miss at a live cut.
+    ``verifications`` counts comparisons with stored text; each descent
+    makes one, which verifies all its prefix lengths, so it equals ``descents``.
     ``grid_queries`` counts grid range queries.
     """
 
@@ -185,6 +198,11 @@ class _QueryState:
     holds that descent's ``CompactTrie.descend`` result: the verified
     length, which decides whether a split can occur at all, and the node
     chain, bisected for a rank interval only by splits that reach the grid.
+
+    Only live cuts are descended: with H the largest power of two with
+    2H - 1 <= k, a split reaching the grid has an alpha or beta part of at
+    least H bytes, whose head is in ``side.head_tables(H)``.  A side's first
+    ``best`` call lists its live cuts, ascending, in ``live[is_reverse]``.
     """
 
     def __init__(self, index: KmerIndex, pattern: bytes, k: int, stats: QueryStats):
@@ -195,6 +213,7 @@ class _QueryState:
         self.memo: list[list[tuple[int, list[int], list] | None]] = [
             [None] * (len(pattern) + 1) for _ in range(4)
         ]
+        self.live: list[list[int] | None] = [None, None]
 
     def best(self, side: SideIndex, i: int) -> int | None:
         """Min (forward) or max (reverse) grid label over every split of the
@@ -216,10 +235,19 @@ class _QueryState:
         # Labels are leaf vertices, so the leftmost (rightmost) leaf can't be beaten.
         leaves = self.index.tree.leaves
         target = leaves[-1] if rev else leaves[0]
+        live = self.live[rev]
+        if live is None:
+            h = 1 << ((k + 1).bit_length() - 2)
+            alpha_heads, beta_heads = side.head_tables(h)
+            live = self.live[rev] = [
+                c
+                for c in range(1, m + 1)
+                if flipped[m - c : m - c + h] in alpha_heads or text[c : c + h] in beta_heads
+            ]
         best = None
         descents = queries = 0
-        for j in range(1, k + 1):
-            c = i + j
+        for c in live[bisect_right(live, i) : bisect_right(live, i + k)]:
+            j = c - i
             alpha = alphas[c]
             if alpha is None:
                 descents += 1

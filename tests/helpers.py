@@ -6,6 +6,7 @@ import random
 from bisect import bisect_left
 from typing import NamedTuple
 
+from phylokmer.engine import SideIndex, _QueryState
 from phylokmer.lz77 import Lz77Parse
 from phylokmer.model import (
     Concatenation,
@@ -232,6 +233,59 @@ def prefix_intervals(trie: CompactTrie, pattern: bytes) -> tuple[list[int], list
     length, depths, nodes = trie.descend(pattern)
     chain = [nodes[bisect_left(depths, L)] for L in range(length + 1)]
     return [node.lo for node in chain], [node.hi for node in chain]
+
+
+def all_cuts_best(state: _QueryState, side: SideIndex, i: int) -> int | None:
+    """``state.best(side, i)`` without the live-cut filter: the split loop
+    visits every cut of the k-mer and descends each one that it reaches,
+    sharing ``state``'s memo and adding to its stats the same way."""
+    k = state.k
+    rev = side.is_reverse
+    text = state.texts[rev]
+    flipped = state.texts[not rev]
+    m = len(text)
+    if rev:
+        i = m - k - i
+    alphas = state.memo[2 * rev]
+    betas = state.memo[2 * rev + 1]
+    leaves = state.index.tree.leaves
+    target = leaves[-1] if rev else leaves[0]
+    best = None
+    descents = queries = 0
+    for j in range(1, k + 1):
+        c = i + j
+        alpha = alphas[c]
+        if alpha is None:
+            descents += 1
+            alpha = alphas[c] = side.suffix_trie.descend(flipped[m - c : m - c + k])
+        a_len, a_depths, a_nodes = alpha
+        if j > a_len:
+            continue
+        if j == k:
+            if not side.prefix_trie.size:
+                continue
+            y1, y2 = 1, side.prefix_trie.size
+        else:
+            beta = betas[c]
+            if beta is None:
+                descents += 1
+                beta = betas[c] = side.prefix_trie.descend(text[c : c + k - 1])
+            b_len, b_depths, b_nodes = beta
+            if k - j > b_len:
+                continue
+            node = b_nodes[bisect_left(b_depths, k - j)]
+            y1, y2 = node.lo, node.hi
+        node = a_nodes[bisect_left(a_depths, j)]
+        queries += 1
+        label = side.grid.range_best(node.lo, node.hi, y1, y2)
+        if label is not None and (best is None or (label > best if rev else label < best)):
+            best = label
+            if best == target:
+                break
+    state.stats.descents += descents
+    state.stats.verifications += descents
+    state.stats.grid_queries += queries
+    return best
 
 
 def candidate_prefixes(concatenation: Concatenation, parse: Lz77Parse) -> tuple[bytes, ...]:

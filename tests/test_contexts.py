@@ -215,6 +215,18 @@ def test_rank_slices_fixed_cases():
         c, b, a = 0, run + 2, 2 * run + 4
         ranking = rank_slices(text, [c, b, a, b], [c + run + 1, b + run + 1, a + run, b + run])
         assert ranking.ranks == [3, 2, 1, 1]
+    # Tied pairs part where one string ends or where a byte differs, even
+    # when that byte equals the next group's whole key; equal pairs share a
+    # rank.
+    for tail_a, tail_b in ((b"C", b"A"), (b"", b"C"), (b"CA", b"C"), (b"C", b"C"), (b"", b"")):
+        text = b"A" * 100 + tail_a + b"$" + b"A" * 100 + tail_b + b"$C"
+        starts = [0, 102 + len(tail_a), len(text) - 1]
+        stops = [100 + len(tail_a), len(text) - 2, len(text)]
+        strings = [text[a:b] for a, b in zip(starts, stops)]
+        distinct = sorted(set(strings))
+        ranking = rank_slices(text, starts, stops)
+        assert ranking.ranks == [distinct.index(s) + 1 for s in strings], (tail_a, tail_b)
+        assert ranking.refs[ranking.ranks[1] - 1] == (starts[1], len(strings[1]))
 
 
 @st.composite

@@ -7,13 +7,17 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
+    all_cuts_best,
     fixture_genomes,
     fixture_tree,
     kmer_occurrences,
     random_instance,
     random_pattern,
+    random_tree_newick,
 )
 from phylokmer import (
     build_index,
@@ -24,6 +28,7 @@ from phylokmer import (
     save_index,
     side_query,
 )
+from phylokmer.engine import QueryStats, _QueryState
 from phylokmer.model import GenomeRecord, parse_newick
 
 
@@ -166,6 +171,104 @@ def test_descent_budget(worked_index):
             assert results == classify(worked_index, pattern, k)
 
 
+def _assert_live_cuts_match_all_cuts(index, pattern, k):
+    """Per k-mer and side, the live-cut loop gives the answer and makes the
+    grid queries of the all-cuts loop; classify agrees with both."""
+    live = _QueryState(index, pattern, k, QueryStats())
+    every = _QueryState(index, pattern, k, QueryStats())
+    answers, queries = [], 0
+    for i in range(len(pattern) - k + 1):
+        labels = []
+        for side in (index.forward, index.reverse):
+            live_before, every_before = live.stats.grid_queries, every.stats.grid_queries
+            label = all_cuts_best(every, side, i)
+            assert live.best(side, i) == label, (pattern, k, i, side.is_reverse)
+            made = every.stats.grid_queries - every_before
+            assert live.stats.grid_queries - live_before == made, (pattern, k, i, side.is_reverse)
+            labels.append((label, made))
+        (left, left_made), (right, right_made) = labels
+        # classify asks the reverse side only about k-mers found somewhere
+        answers.append(None if left is None else index.lca.query(left, right))
+        queries += left_made + (0 if left is None else right_made)
+    assert live.stats.descents <= every.stats.descents
+    results, stats = classify_with_stats(index, pattern, k)
+    assert [r.answer for r in results] == answers, (pattern, k)
+    assert stats.grid_queries == queries, (pattern, k)
+    for kmer in {pattern[i : i + k] for i in range(0, len(pattern) - k + 1, 5)}:
+        for side in (index.forward, index.reverse):
+            every = _QueryState(index, kmer, k, QueryStats())
+            assert side_query(index, side, kmer) == all_cuts_best(every, side, 0), (kmer, side.is_reverse)
+
+
+def _live_cut_instances():
+    """Unary and periodic genomes, where every head of a pattern from them is
+    in the head tables, random genomes, and the worked fixture, whose genomes
+    are shorter than H for k >= 15."""
+    rng = random.Random(54)
+    instances = [
+        (parse_newick("(A,B);"), [GenomeRecord("A", b"A" * 90), GenomeRecord("B", b"A" * 75)]),
+        (
+            parse_newick("((P,Q),R);"),
+            [
+                GenomeRecord("P", b"ACG" * 30),
+                GenomeRecord("Q", b"ACGACT" * 14),
+                GenomeRecord("R", b"CA" * 40),
+            ],
+        ),
+        random_instance(rng, max_genomes=6, max_genome_len=120),
+        (fixture_tree(), fixture_genomes()),
+    ]
+    return rng, instances
+
+
+def test_live_cuts_match_all_cuts_for_every_k():
+    rng, instances = _live_cut_instances()
+    for tree, genomes in instances:
+        index = build_index(tree, genomes)
+        for k in range(1, 71):  # 2H - 1 in {1, 3, 7, 15, 31, 63} are the boundaries
+            h = 1 << ((k + 1).bit_length() - 2)
+            seq = rng.choice(genomes).sequence
+            start = rng.randrange(len(seq))
+            piece = (seq[start:] + seq)[: k + rng.randrange(4)]
+            mutated = bytearray(piece)
+            mutated[rng.randrange(len(mutated))] = rng.choice(b"ACGT")
+            unary = bytes([piece[0]]) * (k + 2)
+            for pattern in (piece, bytes(mutated), unary, piece[: h - 1]):
+                if pattern:
+                    _assert_live_cuts_match_all_cuts(index, pattern, k)
+
+
+@st.composite
+def periodic_instances(draw):
+    """Few genomes repeating one short period with a few edits, a k from 1 to
+    70 (boundaries favoured) and a pattern cut from a genome or the period."""
+    alphabet = draw(st.sampled_from([b"A", b"AC", b"ACGT"]))
+    period = bytes(draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=6)))
+    names = [f"G{i}" for i in range(draw(st.integers(1, 4)))]
+    genomes = []
+    for name in names:
+        seq = bytearray((period * 150)[: draw(st.integers(1, 140))])
+        for at in draw(st.lists(st.integers(0, 139), max_size=2)):
+            if at < len(seq):
+                seq[at] = draw(st.sampled_from(b"ACGT"))
+        genomes.append(GenomeRecord(name, bytes(seq)))
+    tree = parse_newick(random_tree_newick(draw(st.randoms(use_true_random=False)), names))
+    k = draw(st.one_of(st.sampled_from([1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64]), st.integers(1, 70)))
+    source = draw(st.sampled_from([g.sequence for g in genomes] + [period * 150]))
+    start = draw(st.integers(0, len(source) - 1))
+    pattern = bytearray(source[start : start + k + draw(st.integers(-3, 6))] or source[:1])
+    for at in draw(st.lists(st.integers(0, len(pattern) - 1), max_size=1)):
+        pattern[at] = draw(st.sampled_from(b"ACGT"))
+    return tree, genomes, bytes(pattern), k
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(periodic_instances())
+def test_live_cuts_match_all_cuts_on_periodic_genomes(instance):
+    tree, genomes, pattern, k = instance
+    _assert_live_cuts_match_all_cuts(build_index(tree, genomes), pattern, k)
+
+
 def _assert_matches_reference(tree, genomes, pattern, ks):
     index = build_index(tree, genomes)
     for k in ks:
@@ -235,13 +338,18 @@ def test_realistic_pangenome_matches_reference_after_save_and_load(tmp_path):
     save_index(build_index(tree, genomes), tmp_path / "pangenome.pkm")
     index = load_index(tmp_path / "pangenome.pkm")
     answers = set()
+    descents = 0
     for read in reads:
         for k in (1, 15, 31, 100):
-            got = classify(index, read, k)
+            got, stats = classify_with_stats(index, read, k)
             assert got == naive_classify(tree, genomes, read, k), (read, k)
             answers.update(r.answer for r in got)
+            descents += stats.descents if k == 31 else 0
     # absent k-mers, the root and vertices below it all occur
     assert None in answers and tree.root in answers and len(answers) > 3
+    # Only live cuts are descended: about 0.3 descents per read byte here
+    # at k = 31, against about 2.7 when every cut is.
+    assert descents <= sum(map(len, reads)), descents
 
 
 @pytest.mark.slow

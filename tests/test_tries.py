@@ -5,8 +5,7 @@ from bisect import bisect_left
 import pytest
 
 from helpers import prefix_intervals, reference_trie, string_at, trie_shape
-from phylokmer.engine import prefix_access
-from phylokmer.tries import build_trie
+from phylokmer.tries import build_trie, prefix_access
 
 PREFIX_STRINGS = [b"", b"AGAT", b"AT", b"ATACAT", b"ATTACAT", b"CAT", b"TACAT", b"TTACAT"]
 REV_SUFFIX_STRINGS = [b"A", b"AT", b"ATA", b"ATAGATTAG", b"C", b"G", b"GA", b"T", b"TTAG"]
