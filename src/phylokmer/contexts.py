@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .lz77 import Lz77Parse, common_prefix
+from .lz77 import Lz77Parse
 from .model import Concatenation
 
 
@@ -47,9 +47,8 @@ class Ranking(NamedTuple):
 def rank_slices(text: bytes, starts: Sequence[int], stops: Sequence[int]) -> Ranking:
     """Lex-rank the strings ``text[starts[i]:stops[i]]``, equal ones alike: sort by
     the first 64 bytes, then re-sort each group of equal full-width keys by the
-    next bytes, doubling the width each round; one ``common_prefix`` call orders
-    a tied pair instead.  Equal keys shorter than the width end their strings,
-    so each string is sliced about twice as far as it ties."""
+    next bytes, doubling the width each round.  Equal keys shorter than the width
+    end their strings, so each string is sliced about twice as far as it ties."""
     ranks = [0] * len(starts)
     refs: list[tuple[int, int]] = []
 
@@ -64,18 +63,7 @@ def rank_slices(text: bytes, starts: Sequence[int], stops: Sequence[int]) -> Ran
             hi = lo + 1
             while hi < len(order) and keys[order[hi]] == key:
                 hi += 1
-            if hi - lo == 2 and len(key) == width:
-                x, y = ids[order[lo]], ids[order[lo + 1]]
-                a, b = starts[x] + stop, starts[y] + stop
-                lcp = common_prefix(text, a, b, min(stops[x] - a, stops[y] - b))
-                # the bytes after the LCP, empty where a string ends
-                after_x = text[a + lcp : min(a + lcp + 1, stops[x])]
-                after_y = text[b + lcp : min(b + lcp + 1, stops[y])]
-                runs = ((x, y),) if after_x == after_y else ((x,), (y,))
-                for run in runs if after_x <= after_y else runs[::-1]:  # strings, in order
-                    refs.append((starts[run[-1]], stops[run[-1]] - starts[run[-1]]))
-                    ranks[run[0]] = ranks[run[-1]] = len(refs)
-            elif hi - lo > 1 and len(key) == width:
+            if hi - lo > 1 and len(key) == width:
                 sort([ids[j] for j in order[lo:hi]], stop, 2 * width)
             else:  # one string
                 i = ids[order[hi - 1]]

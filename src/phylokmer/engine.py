@@ -9,15 +9,16 @@ k-mer occurs.  k is chosen per query, never at build time.
 
 Per classify call, trie work is shared across k-mers: one descent per
 live pattern cut and trie family (at most 4m descents for a pattern of
-length m), memoized for the call.  A cut is live when, for the largest
-power of two H with 2H - 1 <= k, the H bytes left of it end a suffix
-string or the H bytes right of it start a prefix string.  Each descent
-is verified once and keeps its verified length and node chain: a split
-whose alpha or beta part is longer than that length is skipped outright,
-and only a split that reaches the grid bisects the chains for its rank
-box.  Both sides run one split loop, the reverse side over the reversed
-pattern; a side stops at its leftmost (rightmost) leaf, and the reverse
-side is not asked about a k-mer the forward side found nowhere.
+length m), memoized for the call.  A cut is live when, for H the largest
+power of two with 2H - 1 <= k, capped at ``HEAD_CAP``, the H bytes left of
+it end a suffix string or the H bytes right of it start a prefix string.
+Each descent is verified once and keeps its verified length and node
+chain: a split whose alpha or beta part is longer than that length is
+skipped outright, and only a split that reaches the grid bisects the
+chains for its rank box.  Both sides run one split loop, the reverse side
+over the reversed pattern; a side stops at its leftmost (rightmost) leaf,
+and the reverse side is not asked about a k-mer the forward side found
+nowhere.
 """
 from __future__ import annotations
 
@@ -37,6 +38,10 @@ from .model import (
     reverse_concatenation,
 )
 from .tries import CompactTrie, build_trie
+
+# Longest head in a head table.  Any head length up to the one k allows
+# keeps the live-cut test exact; a cap bounds the tables at six per side.
+HEAD_CAP = 32
 
 
 @dataclass(frozen=True)
@@ -67,7 +72,8 @@ class SideIndex:
 
     def head_tables(self, h: int) -> tuple[frozenset[bytes], frozenset[bytes]]:
         """The first ``h`` bytes of each reversed suffix string and each prefix
-        string of ``h`` bytes or more; made on first use, kept in ``heads``."""
+        string of ``h`` bytes or more; made on first use, kept in ``heads``.
+        ``h`` is at most ``HEAD_CAP``, so the tables stay small for any k."""
         if h not in self.heads:
             flipped = self.text[::-1]
             self.heads[h] = (
@@ -200,8 +206,9 @@ class _QueryState:
     chain, bisected for a rank interval only by splits that reach the grid.
 
     Only live cuts are descended: with H the largest power of two with
-    2H - 1 <= k, a split reaching the grid has an alpha or beta part of at
-    least H bytes, whose head is in ``side.head_tables(H)``.  A side's first
+    2H - 1 <= k, capped at ``HEAD_CAP``, a split reaching the grid has an
+    alpha or beta part of at least H bytes, whose head is in
+    ``side.head_tables(H)``.  A side's first
     ``best`` call lists its live cuts, ascending, in ``live[is_reverse]``.
     """
 
@@ -237,7 +244,7 @@ class _QueryState:
         target = leaves[-1] if rev else leaves[0]
         live = self.live[rev]
         if live is None:
-            h = 1 << ((k + 1).bit_length() - 2)
+            h = min(1 << ((k + 1).bit_length() - 2), HEAD_CAP)
             alpha_heads, beta_heads = side.head_tables(h)
             live = self.live[rev] = [
                 c

@@ -28,7 +28,7 @@ from phylokmer import (
     save_index,
     side_query,
 )
-from phylokmer.engine import QueryStats, _QueryState
+from phylokmer.engine import HEAD_CAP, QueryStats, _QueryState
 from phylokmer.model import GenomeRecord, parse_newick
 
 
@@ -238,6 +238,31 @@ def test_live_cuts_match_all_cuts_for_every_k():
                     _assert_live_cuts_match_all_cuts(index, pattern, k)
 
 
+def test_live_cuts_match_all_cuts_past_the_head_cap():
+    # From k = 4 * HEAD_CAP - 1 = 127 on, H stays at HEAD_CAP, below the
+    # length the longer part of a split must reach; the test stays exact.
+    rng = random.Random(55)
+    period = b"ACGTTGA"
+    repeat = bytearray((period * 60)[:400])
+    repeat[250] = ord("C")
+    tree = parse_newick("((A,B),C);")
+    genomes = [
+        GenomeRecord("A", bytes(repeat)),
+        GenomeRecord("B", bytes(rng.choice(b"ACGT") for _ in range(380))),
+        GenomeRecord("C", (period * 60)[3:360]),
+    ]
+    index = build_index(tree, genomes)
+    for k in (126, 127, 128, 200, 255, 256):
+        for genome in genomes:
+            start = rng.randrange(len(genome.sequence) - k)
+            piece = genome.sequence[start : start + k + rng.randrange(4)]
+            mutated = bytearray(piece)
+            mutated[rng.randrange(len(mutated))] = rng.choice(b"ACGT")
+            for pattern in (piece, bytes(mutated)):
+                _assert_live_cuts_match_all_cuts(index, pattern, k)
+    assert max(index.forward.heads) == max(index.reverse.heads) == HEAD_CAP
+
+
 @st.composite
 def periodic_instances(draw):
     """Few genomes repeating one short period with a few edits, a k from 1 to
@@ -357,6 +382,9 @@ def test_large_pangenome_load_memory_and_whole_genome_queries(tmp_path):
     # 8 x 25 kB from the benchmark's generator.  Loading keeps no copy of
     # the boundary prefixes, which would cost the phrase count times the
     # genome length; the index it returns is what the heap should hold.
+    # Whole-genome queries add head tables of at most HEAD_CAP bytes a
+    # head: uncapped heads would copy 8 kB per prefix here, about twice
+    # the index.
     synth = _benchmark_generator()
     rng = random.Random("scale:1")
     pangenome = synth.make_pangenome(rng, genomes=8, length=25_000)
@@ -364,20 +392,25 @@ def test_large_pangenome_load_memory_and_whole_genome_queries(tmp_path):
     tree = parse_newick(pangenome.newick)
     genomes = [GenomeRecord(name, seq) for name, seq in pangenome.genomes]
     save_index(build_index(tree, genomes), tmp_path / "large.pkm")
-    tracemalloc.start()
-    try:
-        index = load_index(tmp_path / "large.pkm")
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * kept, f"load peaked at {peak / 2**20:.1f} MB, kept {kept / 2**20:.1f} MB"
     mutated = bytearray(genomes[5].sequence)
     middle = len(mutated) // 2
     mutated[middle] = b"C"[0] if mutated[middle] != b"C"[0] else b"G"[0]
     patterns = [(genomes[i].sequence, len(genomes[i].sequence)) for i in (0, 3, 7)]
     patterns += [(bytes(mutated), len(mutated))] + [(read, 31) for read in reads]
-    for pattern, k in patterns:
-        assert classify(index, pattern, k) == naive_classify(tree, genomes, pattern, k), k
+    expected = [naive_classify(tree, genomes, pattern, k) for pattern, k in patterns]
+    tracemalloc.start()
+    try:
+        index = load_index(tmp_path / "large.pkm")
+        kept, peak = tracemalloc.get_traced_memory()
+        for (pattern, k), want in zip(patterns, expected):
+            assert classify(index, pattern, k) == want, k
+        queried, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * kept, f"load peaked at {peak / 2**20:.1f} MB, kept {kept / 2**20:.1f} MB"
+    assert queried <= 1.125 * kept, (
+        f"queries grew the heap to {queried / 2**20:.1f} MB, from {kept / 2**20:.1f} MB"
+    )
 
 
 def _edge_case(name: str):
