@@ -202,9 +202,12 @@ def _assert_live_cuts_match_all_cuts(index, pattern, k):
 
 def _live_cut_instances():
     """Unary and periodic genomes, where every head of a pattern from them is
-    in the head tables, random genomes, and the worked fixture, whose genomes
-    are shorter than H for k >= 15."""
+    in the head tables, random genomes, the worked fixture, whose genomes
+    are shorter than H for k >= 15, and genomes long enough for k-mers where
+    H stays at HEAD_CAP."""
     rng = random.Random(54)
+    repeat = bytearray((b"ACGTTGA" * 60)[:400])
+    repeat[250] = ord("C")
     instances = [
         (parse_newick("(A,B);"), [GenomeRecord("A", b"A" * 90), GenomeRecord("B", b"A" * 75)]),
         (
@@ -217,6 +220,14 @@ def _live_cut_instances():
         ),
         random_instance(rng, max_genomes=6, max_genome_len=120),
         (fixture_tree(), fixture_genomes()),
+        (
+            parse_newick("((A,B),C);"),
+            [
+                GenomeRecord("A", bytes(repeat)),
+                GenomeRecord("B", bytes(rng.choice(b"ACGT") for _ in range(380))),
+                GenomeRecord("C", (b"ACGTTGA" * 60)[3:360]),
+            ],
+        ),
     ]
     return rng, instances
 
@@ -225,8 +236,10 @@ def test_live_cuts_match_all_cuts_for_every_k():
     rng, instances = _live_cut_instances()
     for tree, genomes in instances:
         index = build_index(tree, genomes)
-        for k in range(1, 71):  # 2H - 1 in {1, 3, 7, 15, 31, 63} are the boundaries
-            h = 1 << ((k + 1).bit_length() - 2)
+        # 2H - 1 in {1, 3, 7, 15, 31, 63} are the boundaries; from k = 127 on
+        # H stays at HEAD_CAP, which keeps the test exact.
+        for k in [*range(1, 71), 126, 127, 128, 200, 255, 256]:
+            h = min(1 << ((k + 1).bit_length() - 2), HEAD_CAP)
             seq = rng.choice(genomes).sequence
             start = rng.randrange(len(seq))
             piece = (seq[start:] + seq)[: k + rng.randrange(4)]
@@ -236,31 +249,7 @@ def test_live_cuts_match_all_cuts_for_every_k():
             for pattern in (piece, bytes(mutated), unary, piece[: h - 1]):
                 if pattern:
                     _assert_live_cuts_match_all_cuts(index, pattern, k)
-
-
-def test_live_cuts_match_all_cuts_past_the_head_cap():
-    # From k = 4 * HEAD_CAP - 1 = 127 on, H stays at HEAD_CAP, below the
-    # length the longer part of a split must reach; the test stays exact.
-    rng = random.Random(55)
-    period = b"ACGTTGA"
-    repeat = bytearray((period * 60)[:400])
-    repeat[250] = ord("C")
-    tree = parse_newick("((A,B),C);")
-    genomes = [
-        GenomeRecord("A", bytes(repeat)),
-        GenomeRecord("B", bytes(rng.choice(b"ACGT") for _ in range(380))),
-        GenomeRecord("C", (period * 60)[3:360]),
-    ]
-    index = build_index(tree, genomes)
-    for k in (126, 127, 128, 200, 255, 256):
-        for genome in genomes:
-            start = rng.randrange(len(genome.sequence) - k)
-            piece = genome.sequence[start : start + k + rng.randrange(4)]
-            mutated = bytearray(piece)
-            mutated[rng.randrange(len(mutated))] = rng.choice(b"ACGT")
-            for pattern in (piece, bytes(mutated)):
-                _assert_live_cuts_match_all_cuts(index, pattern, k)
-    assert max(index.forward.heads) == max(index.reverse.heads) == HEAD_CAP
+        assert max(index.forward.heads) == max(index.reverse.heads) == HEAD_CAP
 
 
 @st.composite
