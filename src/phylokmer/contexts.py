@@ -125,10 +125,12 @@ def grid_points(
     """
     if aggregate not in ("min", "max"):
         raise ValueError(f"aggregate must be 'min' or 'max', got {aggregate!r}")
-    pick = min if aggregate == "min" else max
+    lowest = aggregate == "min"
     best: dict[tuple[int, int], int] = {}
     for ctx, x, y in zip(contexts, suffixes.ranks, prefixes.ranks):
         vertex = leaf_vertices[ctx.genome - 1]
         key = (x, y)
-        best[key] = pick(best[key], vertex) if key in best else vertex
+        old = best.get(key)
+        if old is None or (vertex < old if lowest else vertex > old):
+            best[key] = vertex
     return [(x, y, label) for (x, y), label in sorted(best.items())]

@@ -15,7 +15,8 @@ it end a suffix string or the H bytes right of it start a prefix string.
 Each descent is verified once and keeps its verified length and node
 chain: a split whose alpha or beta part is longer than that length is
 skipped outright, and only a split that reaches the grid bisects the
-chains for its rank box.  Both sides run one split loop, the reverse side
+chains for its rank box.  The box's x-range is a suffix-trie node's, and
+the grid is laid on those nodes, so one grid node answers it.  Both sides run one split loop, the reverse side
 over the reversed pattern; a side stops at its leftmost (rightmost) leaf,
 and the reverse side is not asked about a k-mer the forward side found
 nowhere.
@@ -136,21 +137,23 @@ def build_side(
     """Derive one side's contexts from its text and parse, then its tries and grid.
 
     The one path for build and load.  ``leaf_vertices[ordinal - 1]`` maps
-    this text's genome ordinals to tree vertex numbers.
+    this text's genome ordinals to tree vertex numbers.  The grid is laid on
+    the suffix trie's node intervals, the x-ranges of every split's box.
     """
     text = concatenation.text
     suffixes, prefixes, ctxs = contexts_mod.build_context_sets(concatenation, parse)
     aggregate = "max" if is_reverse else "min"
     points = contexts_mod.grid_points(ctxs, suffixes, prefixes, aggregate, leaf_vertices)
+    # Co-lex order of the suffixes is lex order of the reversed text's refs.
+    suffix_trie = build_trie(text=text[::-1], refs=suffixes.refs)
     return SideIndex(
         text=text,
         parse=parse,
         suffix_refs=suffixes.refs,
         prefix_refs=prefixes.refs,
-        # Co-lex order of the suffixes is lex order of the reversed text's refs.
-        suffix_trie=build_trie(text=text[::-1], refs=suffixes.refs),
+        suffix_trie=suffix_trie,
         prefix_trie=build_trie(text=text, refs=prefixes.refs),
-        grid=ContextGrid(points, aggregate),
+        grid=ContextGrid(points, aggregate, suffix_trie.intervals()),
         is_reverse=is_reverse,
     )
 
@@ -203,7 +206,8 @@ class _QueryState:
     up-to-(k - 1) bytes right of c (the beta parts).  ``memo[family][c]``
     holds that descent's ``CompactTrie.descend`` result: the verified
     length, which decides whether a split can occur at all, and the node
-    chain, bisected for a rank interval only by splits that reach the grid.
+    chain, bisected for a rank interval only by splits that reach the grid,
+    where the alpha node's interval picks the one grid node to ask.
 
     Only live cuts are descended: with H the largest power of two with
     2H - 1 <= k, capped at ``HEAD_CAP``, a split reaching the grid has an

@@ -1,13 +1,18 @@
 """Static grid of labeled points with closed-box range min/max queries.
 
-A flat, bottom-up segment tree over the x-sorted points: for n points,
-leaf n + i holds point i and node v < n covers the points of nodes 2v and
-2v + 1, with no padding of n.  Each node stores its points' ys in order
-and doubling tables of running minima of ``sign * label``, so a max grid
-is a min grid on negated labels.  A box query maps [x1, x2] to a run of
-point indices with two bisects, collects the O(log n) nodes that tile the
-run with the bottom-up loop, and answers each in O(1) after a binary
-search over its ys: O(log^2 n) overall.
+The grid is laid out on a family of x-intervals.  Each interval [lo, hi]
+is a node holding the ys of the points with lo <= x <= hi, in order, and
+doubling tables of running minima of ``sign * label`` over them, so a max
+grid is a min grid on negated labels.  A box whose x-range is a node is
+answered by that node alone: a dict lookup, two bisects on its ys and two
+table reads.  Any other box is tiled from the left: at the next point's x,
+the longest node starting there that ends by x2, until x2.
+
+The engine passes the intervals of its suffix trie's nodes, the x-ranges
+of every box it asks for.  Without them the grid halves its distinct xs
+top-down, so a tiled box takes O(log n) nodes, each O(log n).  Either way
+every distinct x also gets a node of its own, so tiling reaches every
+point.
 """
 from __future__ import annotations
 
@@ -18,7 +23,12 @@ from typing import Iterable
 class ContextGrid:
     """Immutable point grid answering aggregate queries over closed boxes."""
 
-    def __init__(self, points: Iterable[tuple[int, int, int]], aggregator: str):
+    def __init__(
+        self,
+        points: Iterable[tuple[int, int, int]],
+        aggregator: str,
+        intervals: Iterable[tuple[int, int]] | None = None,
+    ):
         if aggregator not in ("min", "max"):
             raise ValueError(f"aggregator must be 'min' or 'max', got {aggregator!r}")
         self.aggregator = aggregator
@@ -32,33 +42,38 @@ class ContextGrid:
         self.points = tuple(pts)
         self._sign = 1 if aggregator == "min" else -1
         self._xs = [x for x, _, _ in pts]
-        self._build()
+        distinct = sorted(set(self._xs))
+        family = {(x, x) for x in distinct}
+        if intervals is None:
+            halves = [(0, len(distinct))] if distinct else []
+            for a, b in halves:  # grows while it is read: breadth-first halving
+                family.add((distinct[a], distinct[b - 1]))
+                if b - a > 1:
+                    mid = (a + b) // 2
+                    halves += [(a, mid), (mid, b)]
+        else:
+            family.update(intervals)
+        self._build(family)
 
-    def _build(self) -> None:
-        """Fill ``_ys[v]`` and ``_tables[v]`` for every node, leaves first.
+    def _build(self, family: set[tuple[int, int]]) -> None:
+        """Fill ``_nodes[lo, hi]`` with (ys, tables) for every interval.
 
-        Points are ranked by y once (ties in x order); a node's ranks are
-        its children's, merged by one sort of two sorted runs.
+        Points are ranked by y once (ties in x order); a node sorts the
+        ranks of its x-run of points, so its ys and labels come in y order.
         """
         pts = self.points
         sign = self._sign
-        n = len(pts)
-        by_y = sorted(range(n), key=lambda i: pts[i][1])
+        xs = self._xs
+        by_y = sorted(range(len(pts)), key=lambda i: pts[i][1])
         y_of = [pts[i][1] for i in by_y]
         label_of = [sign * pts[i][2] for i in by_y]
-        ranks: list[list[int] | None] = [None] * (2 * n)
-        for rank, i in enumerate(by_y):
-            ranks[n + i] = [rank]
-        ys: list[list[int]] = [[]] * (2 * n)
-        tables: list[list[list[int]]] = [[]] * (2 * n)
-        for v in range(2 * n - 1, 0, -1):
-            mine = ranks[v]
-            if v < n:
-                mine = ranks[2 * v] + ranks[2 * v + 1]
-                mine.sort()
-                ranks[2 * v] = ranks[2 * v + 1] = None
-                ranks[v] = mine
-            ys[v] = [y_of[r] for r in mine]
+        rank = [0] * len(pts)
+        for r, i in enumerate(by_y):
+            rank[i] = r
+        nodes = {}
+        for lo, hi in family:
+            mine = rank[bisect_left(xs, lo) : bisect_right(xs, hi)]
+            mine.sort()
             # table[j][i] is the least of labels[i : i + 2**j] in y order.
             table = [[label_of[r] for r in mine]]
             span = 1
@@ -66,36 +81,35 @@ class ContextGrid:
                 prev = table[-1]
                 table.append([a if a < b else b for a, b in zip(prev, prev[span:])])
                 span *= 2
-            tables[v] = table
-        self._ys = ys
-        self._tables = tables
+            nodes[lo, hi] = ([y_of[r] for r in mine], table)
+        self._nodes = nodes
+        self._keys = sorted(nodes)
+
+    def _tile(self, x1: int, x2: int) -> list[tuple[list[int], list[list[int]]]]:
+        """Nodes whose x-ranges tile the points with x1 <= x <= x2, left to
+        right: at each next point's x, the longest node there that ends by x2."""
+        xs = self._xs
+        keys = self._keys
+        nodes = self._nodes
+        tiles = []
+        i = bisect_left(xs, x1)
+        while i < len(xs) and xs[i] <= x2:
+            # (xs[i], xs[i]) is a key, so the key found starts at xs[i]
+            key = keys[bisect_right(keys, (xs[i], x2)) - 1]
+            tiles.append(nodes[key])
+            i = bisect_right(xs, key[1], i)
+        return tiles
 
     def range_best(self, x1: int, x2: int, y1: int, y2: int) -> int | None:
         """Aggregate label over points in [x1, x2] x [y1, y2]; None if empty."""
-        xs = self._xs
-        n = len(xs)
-        lo = bisect_left(xs, x1) + n
-        hi = bisect_right(xs, x2) + n
-        nodes = []
-        while lo < hi:
-            if lo & 1:
-                nodes.append(lo)
-                lo += 1
-            if hi & 1:
-                hi -= 1
-                nodes.append(hi)
-            lo >>= 1
-            hi >>= 1
-        ys_of = self._ys
-        tables = self._tables
+        node = self._nodes.get((x1, x2))
         best = None
-        for v in nodes:
-            ys = ys_of[v]
+        for ys, table in self._tile(x1, x2) if node is None else (node,):
             a = bisect_left(ys, y1)
             b = bisect_right(ys, y2)
             if a < b:
                 j = (b - a).bit_length() - 1
-                level = tables[v][j]
+                level = table[j]
                 got = level[a]
                 other = level[b - (1 << j)]
                 if other < got:

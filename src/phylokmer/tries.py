@@ -97,6 +97,17 @@ class CompactTrie:
             node.hi = len(refs)
         return root
 
+    def intervals(self) -> list[tuple[int, int]]:
+        """``(lo, hi)`` of every node below the root: the rank intervals that
+        descents report for patterns of one or more bytes."""
+        out = []
+        stack = list(self.root.children.values())
+        while stack:
+            node = stack.pop()
+            out.append((node.lo, node.hi))
+            stack.extend(node.children.values())
+        return out
+
     def root_locus(self) -> Locus | None:
         return Locus(matched_depth=0, lo=1, hi=self.size, candidate=False) if self.size else None
 

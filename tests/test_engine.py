@@ -1,6 +1,8 @@
 """End-to-end index behavior: side queries, classification, descent budget."""
 import dataclasses
 import importlib.util
+import itertools
+import math
 import random
 import sys
 import tracemalloc
@@ -29,6 +31,7 @@ from phylokmer import (
     side_query,
 )
 from phylokmer.engine import HEAD_CAP, QueryStats, _QueryState
+from phylokmer.grid import ContextGrid
 from phylokmer.model import GenomeRecord, parse_newick
 
 
@@ -169,6 +172,45 @@ def test_descent_budget(worked_index):
             kmers = len(results)
             assert stats.grid_queries <= 2 * k * kmers
             assert results == classify(worked_index, pattern, k)
+
+
+def test_split_loop_never_tiles_the_grid(monkeypatch):
+    # Every box the split loop sends has the x-range of a suffix-trie node,
+    # so the grid answers each with one node and never tiles.
+    def tile(self, x1, x2):
+        raise AssertionError(f"tiled [{x1}, {x2}]")
+
+    monkeypatch.setattr(ContextGrid, "_tile", tile)
+    synth = _benchmark_generator()
+    rng = random.Random("one node per split")
+    pangenome = synth.make_pangenome(rng, genomes=6, length=400)
+    reads = synth.make_reads(rng, pangenome, 8, 150, error_rate=0.02, novel_share=0.25)
+    tree = parse_newick(pangenome.newick)
+    genomes = [GenomeRecord(name, seq) for name, seq in pangenome.genomes]
+    index = build_index(tree, genomes)
+    mutated = bytearray(genomes[2].sequence)
+    third = len(mutated) // 3
+    mutated[third] = b"C"[0] if mutated[third] != b"C"[0] else b"G"[0]
+    patterns = [(read, k) for read in reads for k in (1, 31)]
+    patterns += [(seq, len(seq)) for seq in (genomes[0].sequence, genomes[4].sequence, bytes(mutated))]
+    for pattern, k in patterns:
+        assert classify(index, pattern, k) == naive_classify(tree, genomes, pattern, k), k
+
+
+def test_grid_size_bound_on_nested_phrases():
+    # Blocks of t A's, then one C: phrases nest, so suffix strings run long
+    # and deep trie nodes pile up.  Below the root, a point sits under at
+    # most one trie node per byte of its suffix string, plus its one-x node;
+    # suffix strings are phrase-bounded, so level 0 holds at most
+    # points + text bytes.
+    genome = b"".join(b"A" * t + b"C" for t in range(1, 121))
+    index = build_index(parse_newick("G;"), [GenomeRecord("G", genome)])
+    for side in (index.forward, index.reverse):
+        tables = [table for _, table in side.grid._nodes.values()]
+        points = len(side.grid.points)
+        bound = points + len(side.text)
+        assert sum(len(table[0]) for table in tables) <= bound
+        assert sum(map(len, itertools.chain(*tables))) <= bound * (1 + math.log2(points))
 
 
 def _assert_live_cuts_match_all_cuts(index, pattern, k):

@@ -1,5 +1,6 @@
 """Range-aggregate grid against a numpy linear scan and a brute-force scan."""
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phylokmer.grid import ContextGrid
+from phylokmer.tries import build_trie
 
 FIXTURE_POINTS = [
     (1, 8, 1),
@@ -141,3 +143,48 @@ def test_matches_brute_force_scan(points, aggregator, boxes):
     pick = min if aggregator == "min" else max
     for box in boxes:
         assert grid.range_best(*box) == scan_best(points, box, pick), box
+
+
+def _check_trie_family(strings, points, boxes):
+    """A grid laid on a trie's node intervals answers each node's x-range
+    with that node alone, and any box, tiled, like the scan."""
+    trie = build_trie(strings)
+    intervals = trie.intervals()
+    for aggregator, pick in (("min", min), ("max", max)):
+        grid = ContextGrid(points, aggregator, intervals)
+        with mock.patch.object(ContextGrid, "_tile", side_effect=AssertionError("tiled")):
+            for lo, hi in intervals:
+                for y1, y2 in ((1, 9), (2, 5), (4, 4), (6, 3)):
+                    box = (lo, hi, y1, y2)
+                    assert grid.range_best(*box) == scan_best(points, box, pick), box
+        for box in boxes + [(1, trie.size, 1, 9)]:
+            assert grid.range_best(*box) == scan_best(points, box, pick), box
+
+
+def test_trie_family_fixed_shapes():
+    # b"a" ends at an internal node; every string starts with b"c", so the
+    # root of the second trie has a single child, [1, size] like itself.
+    for strings in (
+        [b"a", b"aa", b"aab", b"ab", b"b"],
+        [b"c", b"ca", b"caa", b"cab", b"cb"],
+    ):
+        points = [(rank, y, 10 * rank + y) for rank in range(1, 6) for y in (1, 4, 7)[: rank % 4]]
+        boxes = [(x1, x2, 2, 8) for x1 in range(0, 7) for x2 in range(x1 - 1, 7)]
+        _check_trie_family(strings, points, boxes)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_trie_family_matches_brute_force_scan(data):
+    # Random sorted distinct strings over two bytes, so that terminals sit
+    # at internal nodes; a non-empty stem gives the root a single child.
+    # Each rank carries 0-3 points.
+    stem = data.draw(st.sampled_from([b"", b"b", b"ab"]))
+    tail = st.lists(st.sampled_from(b"ab"), max_size=5).map(bytes)
+    strings = sorted({stem + t for t in data.draw(st.lists(tail, min_size=1, max_size=14))})
+    points = []
+    for rank in range(1, len(strings) + 1):
+        for y in sorted(data.draw(st.sets(st.integers(1, 8), max_size=3))):
+            points.append((rank, y, data.draw(st.integers(1, 40))))
+    boxes = data.draw(st.lists(st.tuples(*[st.integers(-1, 17)] * 4), max_size=12))
+    _check_trie_family(strings, points, boxes)
