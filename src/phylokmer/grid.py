@@ -17,6 +17,7 @@ point.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from functools import cached_property
 from typing import Iterable
 
 
@@ -42,21 +43,22 @@ class ContextGrid:
         self.points = tuple(pts)
         self._sign = 1 if aggregator == "min" else -1
         self._xs = [x for x, _, _ in pts]
-        distinct = sorted(set(self._xs))
-        family = {(x, x) for x in distinct}
+        family = [(x, x) for x in self._xs]
         if intervals is None:
+            distinct = sorted(set(self._xs))
             halves = [(0, len(distinct))] if distinct else []
             for a, b in halves:  # grows while it is read: breadth-first halving
-                family.add((distinct[a], distinct[b - 1]))
+                family.append((distinct[a], distinct[b - 1]))
                 if b - a > 1:
                     mid = (a + b) // 2
                     halves += [(a, mid), (mid, b)]
         else:
-            family.update(intervals)
+            family += intervals
         self._build(family)
 
-    def _build(self, family: set[tuple[int, int]]) -> None:
-        """Fill ``_nodes[lo, hi]`` with (ys, tables) for every interval.
+    def _build(self, family: list[tuple[int, int]]) -> None:
+        """Fill ``_nodes[lo, hi]`` with (ys, tables) for every interval,
+        once each.
 
         Points are ranked by y once (ties in x order); a node sorts the
         ranks of its x-run of points, so its ys and labels come in y order.
@@ -72,6 +74,8 @@ class ContextGrid:
             rank[i] = r
         nodes = {}
         for lo, hi in family:
+            if (lo, hi) in nodes:
+                continue
             mine = rank[bisect_left(xs, lo) : bisect_right(xs, hi)]
             mine.sort()
             # table[j][i] is the least of labels[i : i + 2**j] in y order.
@@ -83,7 +87,11 @@ class ContextGrid:
                 span *= 2
             nodes[lo, hi] = ([y_of[r] for r in mine], table)
         self._nodes = nodes
-        self._keys = sorted(nodes)
+
+    @cached_property
+    def _keys(self) -> list[tuple[int, int]]:
+        """The node intervals in order, for tiling; sorted on first use."""
+        return sorted(self._nodes)
 
     def _tile(self, x1: int, x2: int) -> list[tuple[list[int], list[list[int]]]]:
         """Nodes whose x-ranges tile the points with x1 <= x <= x2, left to

@@ -100,13 +100,10 @@ class CompactTrie:
     def intervals(self) -> list[tuple[int, int]]:
         """``(lo, hi)`` of every node below the root: the rank intervals that
         descents report for patterns of one or more bytes."""
-        out = []
-        stack = list(self.root.children.values())
-        while stack:
-            node = stack.pop()
-            out.append((node.lo, node.hi))
-            stack.extend(node.children.values())
-        return out
+        nodes = list(self.root.children.values())
+        for node in nodes:  # grows while it is read: breadth-first
+            nodes.extend(node.children.values())
+        return [(node.lo, node.hi) for node in nodes]
 
     def root_locus(self) -> Locus | None:
         return Locus(matched_depth=0, lo=1, hi=self.size, candidate=False) if self.size else None
