@@ -16,10 +16,10 @@ Each descent is verified once and keeps its verified length and node
 chain: a split whose alpha or beta part is longer than that length is
 skipped outright, and only a split that reaches the grid bisects the
 chains for its rank box.  The box's x-range is a suffix-trie node's, and
-the grid is laid on those nodes, so one grid node answers it.  Both sides run one split loop, the reverse side
-over the reversed pattern; a side stops at its leftmost (rightmost) leaf,
-and the reverse side is not asked about a k-mer the forward side found
-nowhere.
+the grid is laid on those nodes, so one grid node answers it.  Both sides
+run one split loop, the reverse side over the reversed pattern; a side
+stops at its leftmost (rightmost) leaf, and the reverse side is not asked
+about a k-mer the forward side found nowhere.
 """
 from __future__ import annotations
 

@@ -192,7 +192,8 @@ def test_split_loop_never_tiles_the_grid(monkeypatch):
     third = len(mutated) // 3
     mutated[third] = b"C"[0] if mutated[third] != b"C"[0] else b"G"[0]
     patterns = [(read, k) for read in reads for k in (1, 31)]
-    patterns += [(seq, len(seq)) for seq in (genomes[0].sequence, genomes[4].sequence, bytes(mutated))]
+    wholes = (genomes[0].sequence, genomes[4].sequence, bytes(mutated))
+    patterns += [(seq, len(seq)) for seq in wholes]
     for pattern, k in patterns:
         assert classify(index, pattern, k) == naive_classify(tree, genomes, pattern, k), k
 
