@@ -445,6 +445,34 @@ def test_large_pangenome_load_memory_and_whole_genome_queries(tmp_path):
     )
 
 
+@pytest.mark.slow
+def test_400kb_pangenome_matches_reference_after_save_and_load(tmp_path):
+    # 16 x 25 kB from the benchmark's generator: most of both parses comes
+    # from LZ77's sampled gram index, the first genome's short phrases from
+    # its fallback.  Reads at k = 31, a quarter of them novel, and
+    # whole-genome k on three genomes and a mutated one.
+    synth = _benchmark_generator()
+    rng = random.Random("lz77-scale:1")
+    pangenome = synth.make_pangenome(rng, genomes=16, length=25_000)
+    reads = synth.make_reads(rng, pangenome, 12, 150, error_rate=0.01, novel_share=0.25)
+    tree = parse_newick(pangenome.newick)
+    genomes = [GenomeRecord(name, seq) for name, seq in pangenome.genomes]
+    assert sum(len(seq) for _, seq in pangenome.genomes) >= 400_000
+    save_index(build_index(tree, genomes), tmp_path / "scale.pkm")
+    index = load_index(tmp_path / "scale.pkm")
+    mutated = bytearray(genomes[9].sequence)
+    mutated[100] = b"C"[0] if mutated[100] != b"C"[0] else b"G"[0]
+    patterns = [(read, 31) for read in reads]
+    patterns += [(genomes[i].sequence, len(genomes[i].sequence)) for i in (0, 8, 15)]
+    patterns += [(bytes(mutated), len(mutated))]
+    answers = set()
+    for pattern, k in patterns:
+        got = classify(index, pattern, k)
+        assert got == naive_classify(tree, genomes, pattern, k), k
+        answers.update(r.answer for r in got)
+    assert None in answers and len(answers) > 3
+
+
 def _edge_case(name: str):
     """(newick, genomes, sentinel, patterns) of one named edge case."""
     rng = random.Random(name)

@@ -112,7 +112,8 @@ def test_duplicate_labels_across_cells_are_fine():
 
 
 def test_every_size_up_to_70_points():
-    # Bottom-up trees over sizes that are not powers of two: every x range.
+    # Top-down halvings of the distinct xs, uneven where a size is not a
+    # power of two: every x range.
     rng = random.Random(32)
     for n in range(71):
         points = [(x, rng.randint(1, 9), rng.randint(1, 30)) for x in range(1, n + 1)]

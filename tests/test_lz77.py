@@ -13,7 +13,7 @@ from helpers import (
     reference_longest_match,
     reference_lz77_boundaries,
 )
-from phylokmer.lz77 import lz77_parse
+from phylokmer.lz77 import CAP, EXACT, GRAM, STEP, lz77_parse
 
 FIXTURE_PHRASES = [
     b"G",
@@ -185,10 +185,135 @@ def test_leftmost_maximal_phrases_on_a_40kb_pangenome():
     _assert_leftmost_maximal(parse, text)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+def _planted(rng, block, source_residues, start_residue):
+    """Random DNA holding ``block`` at sources of the given residues mod STEP,
+    each followed by ``!``, then ``#`` and ``block`` + ``?`` at a phrase start
+    of ``start_residue``.  ``#`` and ``?`` occur once, so the phrase starts
+    right after ``#`` and copies exactly ``block``.  Returns (text, sources, start).
+    """
+    text = bytearray(random_dna(rng, 24))
+    sources = []
+    for residue in source_residues:
+        text += random_dna(rng, 8 + (residue - len(text) - 8) % STEP)
+        sources.append(len(text))
+        text += block + b"!"
+    text += random_dna(rng, 8 + (start_residue - len(text) - 9) % STEP) + b"#"
+    start = len(text)
+    text += block + b"?" + random_dna(rng, 8)
+    return bytes(text), sources, start
+
+
+def _phrase_at(parse, start):
+    return next(p for p in parse.phrases if p.start == start)
+
+
+@pytest.mark.parametrize("length", [14, 15, 16])  # EXACT - 1, EXACT, EXACT + 1
+def test_planted_match_at_every_residue(length):
+    # One or two sources of a 14-, 15- or 16-byte block at every residue
+    # mod STEP, copied at a phrase start of every residue.  A 14-byte match
+    # from a source at 1 mod 4 holds no sampled gram, so only the fallback
+    # finds it; from 15 bytes on, each source is proposed through exactly
+    # one offset d.
+    rng = random.Random(length)
+    for start_residue in range(STEP):
+        for first in range(STEP):
+            for second in (None, *range(STEP)):
+                residues = (first,) if second is None else (first, second)
+                block = random_dna(rng, length)
+                text, sources, start = _planted(rng, block, residues, start_residue)
+                assert [s % STEP for s in sources] == list(residues)
+                assert start % STEP == start_residue
+                parse = lz77_parse(text)
+                phrase = _phrase_at(parse, start)
+                assert (phrase.match_len, phrase.source) == (length, sources[0]), residues
+                assert phrase.literal == ord("?")
+                _assert_leftmost_maximal(parse, text)
+
+
+def test_tie_goes_to_the_leftmost_source_reached_through_an_offset():
+    # The leftmost 15-byte source sits at 1 mod 4: its only sampled gram is
+    # at offset d = 3.  The later one, at 0 mod 4, is reached through d = 0.
+    rng = random.Random(15)
+    block = random_dna(rng, 15)
+    text, (left, right), start = _planted(rng, block, (1, 0), 2)
+    assert left % STEP == 1 and right % STEP == 0
+    assert text.find(block) == left and text.find(block, left + 1) == right
+    phrase = _phrase_at(lz77_parse(text), start)
+    assert (phrase.match_len, phrase.source) == (15, left)
+
+
+def test_overlapping_source_fewer_than_step_bytes_back():
+    # "%#" + "A" * 40, with "%" new: the phrase at "#" copies "#" +
+    # "A" * (t - 1) from an earlier "#A...C", so the next phrase starts t bytes into the run and
+    # its leftmost source is the run's start, whose sampled gram may lie at
+    # or past the phrase start.  An earlier run of 17 A's proposes a
+    # shorter match of EXACT bytes or more.
+    for t in (1, 2, 3):
+        for residue in range(STEP):
+            rng = random.Random(f"overlap:{t}:{residue}")
+            text = bytearray(random_dna(rng, 16) + b"#" + b"A" * (t - 1) + b"C")
+            text += random_dna(rng, 8) + b"G" + b"A" * 17 + b"G" + random_dna(rng, 8)
+            text += random_dna(rng, 8 + (residue - len(text) - 10) % STEP) + b"%#"
+            run = len(text)
+            text = bytes(text + b"A" * 40 + b"?")
+            assert run % STEP == residue
+            parse = lz77_parse(text)
+            phrase = _phrase_at(parse, run + t)
+            assert (phrase.match_len, phrase.source) == (40 - t, run), (t, residue)
+            _assert_leftmost_maximal(parse, text)
+
+
+def _most_proposals(text, i):
+    """Most sources one offset d < STEP proposes at phrase start ``i``, by a scan."""
+    return max(
+        sum(
+            text[p : p + GRAM] == text[i + d : i + d + GRAM]
+            for p in range(0, i + d, STEP)
+        )
+        for d in range(STEP)
+    )
+
+
+def test_fallback_past_the_cap_on_unary_and_periodic_texts():
+    rng = random.Random(12)
+    for unit in (b"A", b"ACG"):
+        text = bytearray(unit * (4000 // len(unit)))
+        for _ in range(8):
+            text[rng.randrange(len(text))] = ord("T")
+        text = bytes(text)
+        parse = lz77_parse(text)
+        assert reconstruct(parse) == text
+        _assert_leftmost_maximal(parse, text)
+        assert any(
+            _most_proposals(text, p.start) > CAP
+            for p in parse.phrases
+            if len(text) - p.start >= EXACT
+        ), unit
+
+
+@st.composite
+def _repeated_dna_blocks(draw):
+    """Copies of one 32-64 byte DNA block, each shifted by 0-3 new bytes
+    and with up to three substitutions, some joined by ``$``."""
+    block = draw(st.lists(st.sampled_from(b"ACGT"), min_size=32, max_size=64))
+    text = bytearray()
+    for _ in range(draw(st.integers(2, 5))):
+        copy = list(block)
+        for pos, byte in draw(
+            st.lists(st.tuples(st.integers(0, len(block) - 1), st.sampled_from(b"ACGT")), max_size=3)
+        ):
+            copy[pos] = byte
+        text += bytes(draw(st.lists(st.sampled_from(b"ACGT$"), max_size=3))) + bytes(copy)
+    return bytes(text)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
 @given(
-    st.sampled_from([b"A", b"AC", b"AC$", b"\x00\xff", b"ACGT$\x00\xff"]).flatmap(
-        lambda alphabet: st.lists(st.sampled_from(alphabet), min_size=1, max_size=300).map(bytes)
+    st.one_of(
+        st.sampled_from([b"A", b"AC", b"AC$", b"\x00\xff", b"ACGT$\x00\xff"]).flatmap(
+            lambda alphabet: st.lists(st.sampled_from(alphabet), min_size=1, max_size=300).map(bytes)
+        ),
+        _repeated_dna_blocks(),
     )
 )
 def test_parse_properties(text):
