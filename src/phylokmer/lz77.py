@@ -20,8 +20,9 @@ extended by direct comparison, so only the last find misses, and it scans
 the whole window.
 
 Cost: the index takes O(n) time and n / ``STEP`` entries for n bytes; a
-phrase has at most ``STEP * CAP`` proposed sources, each extended by one
-``common_prefix`` call linear in the phrase's match length.  A phrase the
+phrase has at most ``STEP * CAP`` proposed sources, each compared with the
+best match so far and, if it holds one more byte, extended by
+``common_prefix``, both linear in the phrase's match length.  A phrase the
 fallback decides still costs one full-window miss, so the worst case stays
 O(n·z) byte comparisons for z phrases, as for extend and retry alone.
 """
@@ -93,11 +94,13 @@ def lz77_parse(text: bytes) -> Lz77Parse:
     listed once, each with its ascending positions.  At a phrase start ``i``
     with at least ``EXACT`` bytes left, every listed position ``p`` of
     ``text[i + d : i + d + GRAM]``, for ``d < STEP``, proposes the source
-    ``j = p - d`` when ``0 <= j < i``; each is extended by
-    ``common_prefix`` and the longest wins, leftmost on ties.  A match of
-    ``EXACT`` bytes or more from any ``j < i`` holds the sampled gram at the
-    first multiple of ``STEP`` at or after ``j``, so it is proposed: a best
-    of ``EXACT`` or more is the longest match and its source the leftmost.
+    ``j = p - d`` when ``0 <= j < i``.  A source that holds the best so far
+    plus one byte is extended by ``common_prefix`` and becomes the best; one
+    that holds just the best replaces its source if it lies further left.
+    A match of ``EXACT`` bytes or more from any ``j < i`` holds the sampled
+    gram at the first multiple of ``STEP`` at or after ``j``, so it is
+    proposed: a best of ``EXACT`` or more is the longest match and its
+    source the leftmost.
 
     Fallback, when the best is shorter, fewer than ``EXACT`` bytes are left,
     or some ``d`` proposes more than ``CAP`` sources: extend and retry.  Find
@@ -129,6 +132,9 @@ def lz77_parse(text: bytes) -> Lz77Parse:
         boundaries.append(i)
         match_len, source = 0, n
         if n - i >= EXACT:
+            # A source beats the best only if it holds the best plus one
+            # byte; it ties if it holds the best, and then the leftmost wins.
+            same, longer = b"", text[i : i + 1]
             for d in range(STEP):
                 listed = grams.get(text[i + d : i + d + GRAM])
                 if listed is None:
@@ -139,10 +145,17 @@ def lz77_parse(text: bytes) -> Lz77Parse:
                     break
                 for p in listed[:count]:
                     j = p - d
-                    if j >= 0:
-                        length = common_prefix(text, j, i, n - i)
-                        if length > match_len or (length == match_len and j < source):
-                            match_len, source = length, j
+                    if j < 0:
+                        continue
+                    if text[j : j + match_len + 1] == longer:
+                        match_len += 1
+                        match_len += common_prefix(
+                            text, j + match_len, i + match_len, n - i - match_len
+                        )
+                        source = j
+                        same, longer = text[i : i + match_len], text[i : i + match_len + 1]
+                    elif j < source and text[j : j + match_len] == same:
+                        source = j
         if match_len < EXACT:
             match_len, source, start = 0, None, 0
             while i + match_len < n:
