@@ -213,7 +213,8 @@ def test_planted_match_at_every_residue(length):
     # mod STEP, copied at a phrase start of every residue.  A 14-byte match
     # from a source at 1 mod 4 holds no sampled gram, so only the fallback
     # finds it; from 15 bytes on, each source is proposed through exactly
-    # one offset d.
+    # one offset d, (-source) mod STEP.  Two sources tie, and the leftmost
+    # must win even when its offset comes later, as for residues (1, 0).
     rng = random.Random(length)
     for start_residue in range(STEP):
         for first in range(STEP):
@@ -230,24 +231,12 @@ def test_planted_match_at_every_residue(length):
                 _assert_leftmost_maximal(parse, text)
 
 
-def test_tie_goes_to_the_leftmost_source_reached_through_an_offset():
-    # The leftmost 15-byte source sits at 1 mod 4: its only sampled gram is
-    # at offset d = 3.  The later one, at 0 mod 4, is reached through d = 0.
-    rng = random.Random(15)
-    block = random_dna(rng, 15)
-    text, (left, right), start = _planted(rng, block, (1, 0), 2)
-    assert left % STEP == 1 and right % STEP == 0
-    assert text.find(block) == left and text.find(block, left + 1) == right
-    phrase = _phrase_at(lz77_parse(text), start)
-    assert (phrase.match_len, phrase.source) == (15, left)
-
-
 def test_overlapping_source_fewer_than_step_bytes_back():
     # "%#" + "A" * 40, with "%" new: the phrase at "#" copies "#" +
-    # "A" * (t - 1) from an earlier "#A...C", so the next phrase starts t bytes into the run and
-    # its leftmost source is the run's start, whose sampled gram may lie at
-    # or past the phrase start.  An earlier run of 17 A's proposes a
-    # shorter match of EXACT bytes or more.
+    # "A" * (t - 1) from an earlier "#A...C", so the next phrase starts t
+    # bytes into the run and its leftmost source is the run's start, whose
+    # sampled gram may lie at or past the phrase start.  An earlier run of
+    # 17 A's proposes a shorter match of EXACT bytes or more.
     for t in (1, 2, 3):
         for residue in range(STEP):
             rng = random.Random(f"overlap:{t}:{residue}")
