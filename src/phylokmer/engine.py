@@ -7,19 +7,22 @@ grid.  The answer for a k-mer is the lowest common ancestor of those two
 leaves, the root of the smallest subtree containing every genome where the
 k-mer occurs.  k is chosen per query, never at build time.
 
-Per classify call, trie work is shared across k-mers: one descent per
-live pattern cut and trie family (at most 4m descents for a pattern of
-length m), memoized for the call.  A cut is live when, for H the largest
-power of two with 2H - 1 <= k, capped at ``HEAD_CAP``, the H bytes left of
-it end a suffix string or the H bytes right of it start a prefix string.
-Each descent is verified once and keeps its verified length and node
-chain: a split whose alpha or beta part is longer than that length is
-skipped outright, and only a split that reaches the grid bisects the
-chains for its rank box.  The box's x-range is a suffix-trie node's, and
-the grid is laid on those nodes, so one grid node answers it.  Both sides
-run one split loop, the reverse side over the reversed pattern; a side
-stops at its leftmost (rightmost) leaf, and the reverse side is not asked
-about a k-mer the forward side found nowhere.
+Per classify call and side, one sweep over the live cuts of the pattern,
+read in that side's text direction (the reverse side reads it reversed),
+serves every k-mer: at most one descent per cut and trie family, so at
+most 4m descents for a pattern of length m.  A cut is live when, for H the
+largest power of two with 2H - 1 <= k, capped at ``HEAD_CAP``, the H bytes
+left of it end a suffix string or the H bytes right of it start a prefix
+string.  At cut c the k-mers still open at positions c - k .. c - 1 split
+there; without one the cut is not descended.  The alpha descent (the up to
+k bytes left of c, reversed, in the suffix trie) and the beta descent (the
+up to k - 1 bytes right of c, in the prefix trie) are each verified once
+and keep their verified length and node chain: a k-mer whose alpha or beta
+part is longer than that length does not split there, and one that does
+bisects the chains for its rank box.  The box's x-range is a suffix-trie
+node's, and the grid is laid on those nodes, so one grid node answers it.
+A k-mer closes once its label is the side's leftmost (rightmost) leaf, and
+the reverse side is not asked about a k-mer the forward side found nowhere.
 """
 from __future__ import annotations
 
@@ -117,7 +120,9 @@ class KmerResult:
 class QueryStats:
     """Instrumentation for one classify call.
 
-    ``descents`` counts trie descents, one per memo miss at a live cut.
+    ``descents`` counts trie descents: one per live cut that an open k-mer
+    reaches, in the suffix trie, plus one in the prefix trie where some
+    k-mer splitting there has a beta part.
     ``verifications`` counts comparisons with stored text; each descent
     makes one, which verifies all its prefix lengths, so it equals ``descents``.
     ``grid_queries`` counts grid range queries.
@@ -195,103 +200,79 @@ def build_index(
     )
 
 
-class _QueryState:
-    """Per-call memo of verified descents, shared by every k-mer and split.
+def _sweep(
+    index: KmerIndex, side: SideIndex, pattern: bytes, k: int, open_: list[int], stats: QueryStats
+) -> list[int | None]:
+    """Min (forward) or max (reverse) grid label over every split of the
+    k-mers at the ascending positions ``open_`` of the oriented pattern (the
+    reverse side reads ``pattern`` reversed), indexed by oriented position;
+    None where a k-mer occurs nowhere, or was not asked about.
 
-    Each side reads the pattern in its own text's direction (the reverse
-    side reads it reversed), so one split loop serves both.  At cut c of
-    that oriented pattern, family ``2 * is_reverse`` descends the side's
-    suffix trie with the up-to-k bytes left of c, reversed (the alpha
-    parts), and family ``2 * is_reverse + 1`` its prefix trie with the
-    up-to-(k - 1) bytes right of c (the beta parts).  ``memo[family][c]``
-    holds that descent's ``CompactTrie.descend`` result: the verified
-    length, which decides whether a split can occur at all, and the node
-    chain, bisected for a rank interval only by splits that reach the grid,
-    where the alpha node's interval picks the one grid node to ask.
-
-    Only live cuts are descended: with H the largest power of two with
-    2H - 1 <= k, capped at ``HEAD_CAP``, a split reaching the grid has an
-    alpha or beta part of at least H bytes, whose head is in
-    ``side.head_tables(H)``.  A side's first
-    ``best`` call lists its live cuts, ascending, in ``live[is_reverse]``.
+    One pass over the live cuts c, ascending: the open k-mers i with
+    c - k <= i < c split at c, so each k-mer sees its cuts in the order of
+    a loop of its own.  A cut no open k-mer reaches is not descended.  A
+    k-mer whose label reaches the side's leftmost (rightmost) leaf, which no
+    label can beat, is closed.  ``open_`` is consumed.
     """
-
-    def __init__(self, index: KmerIndex, pattern: bytes, k: int, stats: QueryStats):
-        self.index = index
-        self.texts = (pattern, pattern[::-1])
-        self.k = k
-        self.stats = stats
-        self.memo: list[list[tuple[int, list[int], list] | None]] = [
-            [None] * (len(pattern) + 1) for _ in range(4)
-        ]
-        self.live: list[list[int] | None] = [None, None]
-
-    def best(self, side: SideIndex, i: int) -> int | None:
-        """Min (forward) or max (reverse) grid label over every split of the
-        k-mer at 0-based pattern position ``i``; None if it occurs nowhere."""
-        k = self.k
-        rev = side.is_reverse
-        text = self.texts[rev]
-        # the oriented pattern reversed: its bytes left of c, read leftwards
-        flipped = self.texts[not rev]
-        m = len(text)
-        if rev:
-            i = m - k - i
-        alphas = self.memo[2 * rev]
-        betas = self.memo[2 * rev + 1]
-        suffix_descend = side.suffix_trie.descend
-        prefix_descend = side.prefix_trie.descend
-        prefix_size = side.prefix_trie.size
-        range_best = side.grid.range_best
-        # Labels are leaf vertices, so the leftmost (rightmost) leaf can't be beaten.
-        leaves = self.index.tree.leaves
-        target = leaves[-1] if rev else leaves[0]
-        live = self.live[rev]
-        if live is None:
-            h = min(1 << ((k + 1).bit_length() - 2), HEAD_CAP)
-            alpha_heads, beta_heads = side.head_tables(h)
-            live = self.live[rev] = [
-                c
-                for c in range(1, m + 1)
-                if flipped[m - c : m - c + h] in alpha_heads or text[c : c + h] in beta_heads
-            ]
-        best = None
-        descents = queries = 0
-        for c in live[bisect_right(live, i) : bisect_right(live, i + k)]:
-            j = c - i
-            alpha = alphas[c]
-            if alpha is None:
-                descents += 1
-                alpha = alphas[c] = suffix_descend(flipped[m - c : m - c + k])
-            a_len, a_depths, a_nodes = alpha
-            if j > a_len:
-                continue
-            if j == k:
-                if not prefix_size:
-                    continue
-                y1, y2 = 1, prefix_size
-            else:
-                beta = betas[c]
-                if beta is None:
-                    descents += 1
-                    beta = betas[c] = prefix_descend(text[c : c + k - 1])
-                b_len, b_depths, b_nodes = beta
-                if k - j > b_len:
-                    continue
-                node = b_nodes[bisect_left(b_depths, k - j)]
-                y1, y2 = node.lo, node.hi
-            node = a_nodes[bisect_left(a_depths, j)]
-            queries += 1
-            label = range_best(node.lo, node.hi, y1, y2)
-            if label is not None and (best is None or (label > best if rev else label < best)):
-                best = label
-                if best == target:
-                    break
-        stats = self.stats
-        stats.descents += descents
-        stats.verifications += descents
-        stats.grid_queries += queries
+    rev = side.is_reverse
+    text, flipped = (pattern[::-1], pattern) if rev else (pattern, pattern[::-1])
+    m = len(text)
+    best: list[int | None] = [None] * (m - k + 1)
+    if not open_:
         return best
+    h = min(1 << ((k + 1).bit_length() - 2), HEAD_CAP)
+    alpha_heads, beta_heads = side.head_tables(h)
+    live = [
+        c
+        for c in range(open_[0] + 1, open_[-1] + k + 1)
+        if flipped[m - c : m - c + h] in alpha_heads or text[c : c + h] in beta_heads
+    ]
+    suffix_descend = side.suffix_trie.descend
+    prefix_descend = side.prefix_trie.descend
+    # j == k leaves no beta part: its y-range is the whole prefix trie, the root's.
+    whole = (0 if side.prefix_trie.size else -1), [0], [side.prefix_trie.root]
+    range_best = side.grid.range_best
+    leaves = index.tree.leaves
+    target = leaves[-1] if rev else leaves[0]
+    descents = queries = 0
+    for c in live:
+        lo = bisect_left(open_, c - k)
+        hi = bisect_left(open_, c, lo)
+        if lo == hi:
+            continue
+        descents += 1
+        a_len, a_depths, a_nodes = suffix_descend(flipped[m - c : m - c + k])
+        # an alpha part of j = c - i bytes needs j <= a_len
+        lo = bisect_left(open_, c - a_len, lo, hi)
+        if lo == hi:
+            continue
+        if open_[hi - 1] > c - k:
+            descents += 1
+            b_len, b_depths, b_nodes = prefix_descend(text[c : c + k - 1])
+        else:
+            b_len, b_depths, b_nodes = whole
+        # a beta part of k - j bytes needs k - j <= b_len
+        hi = bisect_right(open_, c - k + b_len, lo, hi)
+        closed = False
+        for i in open_[lo:hi]:
+            j = c - i
+            a = a_nodes[bisect_left(a_depths, j)]
+            b = b_nodes[bisect_left(b_depths, k - j)]
+            queries += 1
+            label = range_best(a.lo, a.hi, b.lo, b.hi)
+            if label is not None:
+                old = best[i]
+                if old is None or (label > old if rev else label < old):
+                    best[i] = label
+                    closed = closed or label == target
+        if closed:
+            open_[lo:hi] = [i for i in open_[lo:hi] if best[i] != target]
+            if not open_:
+                break
+    stats.descents += descents
+    stats.verifications += descents
+    stats.grid_queries += queries
+    return best
 
 
 def _check_pattern(index: KmerIndex, pattern: bytes) -> None:
@@ -305,7 +286,7 @@ def side_query(index: KmerIndex, side: SideIndex, kmer: bytes) -> int | None:
     if not kmer:
         raise ValueError("empty k-mer")
     _check_pattern(index, kmer)
-    return _QueryState(index, kmer, len(kmer), QueryStats()).best(side, 0)
+    return _sweep(index, side, kmer, len(kmer), [0], QueryStats())[0]
 
 
 def classify(index: KmerIndex, pattern: bytes, k: int) -> list[KmerResult]:
@@ -331,15 +312,14 @@ def classify_with_stats(
     results: list[KmerResult] = []
     if k > len(pattern):
         return results, stats
-    state = _QueryState(index, pattern, k, stats)
-    lca_struct = index.lca
-    for i in range(len(pattern) - k + 1):
-        kmer = pattern[i : i + k]
-        # Both sides answer None exactly when the k-mer occurs nowhere.
-        left = state.best(index.forward, i)
-        if left is None:
-            answer = None
-        else:
-            answer = lca_struct.query(left, state.best(index.reverse, i))
-        results.append(KmerResult(position=i + 1, kmer=kmer, answer=answer))
+    n = len(pattern) - k + 1
+    left = _sweep(index, index.forward, pattern, k, list(range(n)), stats)
+    # Both sides answer None exactly when the k-mer occurs nowhere, so the
+    # reverse side is asked only about the k-mers the forward side found.
+    found = [n - 1 - i for i in range(n - 1, -1, -1) if left[i] is not None]
+    right = _sweep(index, index.reverse, pattern, k, found, stats)
+    query = index.lca.query
+    for i in range(n):
+        answer = None if left[i] is None else query(left[i], right[n - 1 - i])
+        results.append(KmerResult(position=i + 1, kmer=pattern[i : i + k], answer=answer))
     return results, stats

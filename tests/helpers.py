@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from phylokmer.engine import SideIndex, _QueryState
+from phylokmer.engine import HEAD_CAP, KmerIndex, QueryStats, SideIndex
 from phylokmer.lz77 import Lz77Parse
 from phylokmer.model import (
     Concatenation,
@@ -235,57 +235,81 @@ def prefix_intervals(trie: CompactTrie, pattern: bytes) -> tuple[list[int], list
     return [node.lo for node in chain], [node.hi for node in chain]
 
 
-def all_cuts_best(state: _QueryState, side: SideIndex, i: int) -> int | None:
-    """``state.best(side, i)`` without the live-cut filter: the split loop
-    visits every cut of the k-mer and descends each one that it reaches,
-    sharing ``state``'s memo and adding to its stats the same way."""
-    k = state.k
+def split_loops(
+    index: KmerIndex,
+    side: SideIndex,
+    pattern: bytes,
+    k: int,
+    positions: Iterable[int],
+    live_only: bool = True,
+) -> tuple[dict[int, int | None], QueryStats]:
+    """The min (forward) or max (reverse) grid label of each k-mer of
+    ``pattern`` at the 0-based ``positions``, by one split loop per k-mer,
+    and the stats of those loops.
+
+    A loop visits its cuts in ascending order on the side's oriented
+    pattern and stops at the side's leftmost (rightmost) leaf.  Descents are
+    memoized per cut and trie family across the loops; with ``live_only``
+    a loop skips the cuts that fail the engine's head-table test.
+    """
     rev = side.is_reverse
-    text = state.texts[rev]
-    flipped = state.texts[not rev]
+    text, flipped = (pattern[::-1], pattern) if rev else (pattern, pattern[::-1])
     m = len(text)
-    if rev:
-        i = m - k - i
-    alphas = state.memo[2 * rev]
-    betas = state.memo[2 * rev + 1]
-    leaves = state.index.tree.leaves
+    h = min(1 << ((k + 1).bit_length() - 2), HEAD_CAP)
+    alpha_heads, beta_heads = side.head_tables(h)
+    memo: dict[tuple[int, int], tuple] = {}
+    stats = QueryStats()
+
+    def descend(family: int, c: int, part: bytes) -> tuple:
+        """Family 0 is the suffix trie (alpha parts), 1 the prefix trie."""
+        if (family, c) not in memo:
+            stats.descents += 1
+            stats.verifications += 1
+            memo[family, c] = (side.suffix_trie, side.prefix_trie)[family].descend(part)
+        return memo[family, c]
+
+    leaves = index.tree.leaves
     target = leaves[-1] if rev else leaves[0]
-    best = None
-    descents = queries = 0
-    for j in range(1, k + 1):
-        c = i + j
-        alpha = alphas[c]
-        if alpha is None:
-            descents += 1
-            alpha = alphas[c] = side.suffix_trie.descend(flipped[m - c : m - c + k])
-        a_len, a_depths, a_nodes = alpha
-        if j > a_len:
-            continue
-        if j == k:
-            if not side.prefix_trie.size:
+    labels: dict[int, int | None] = {}
+    for pos in positions:
+        i = m - k - pos if rev else pos
+        best = None
+        for c in range(i + 1, i + k + 1):
+            if live_only and not (
+                flipped[m - c : m - c + h] in alpha_heads or text[c : c + h] in beta_heads
+            ):
                 continue
-            y1, y2 = 1, side.prefix_trie.size
-        else:
-            beta = betas[c]
-            if beta is None:
-                descents += 1
-                beta = betas[c] = side.prefix_trie.descend(text[c : c + k - 1])
-            b_len, b_depths, b_nodes = beta
-            if k - j > b_len:
+            j = c - i
+            a_len, a_depths, a_nodes = descend(0, c, flipped[m - c : m - c + k])
+            if j > a_len:
                 continue
-            node = b_nodes[bisect_left(b_depths, k - j)]
-            y1, y2 = node.lo, node.hi
-        node = a_nodes[bisect_left(a_depths, j)]
-        queries += 1
-        label = side.grid.range_best(node.lo, node.hi, y1, y2)
-        if label is not None and (best is None or (label > best if rev else label < best)):
-            best = label
-            if best == target:
-                break
-    state.stats.descents += descents
-    state.stats.verifications += descents
-    state.stats.grid_queries += queries
-    return best
+            if j == k:
+                if not side.prefix_trie.size:
+                    continue
+                y1, y2 = 1, side.prefix_trie.size
+            else:
+                b_len, b_depths, b_nodes = descend(1, c, text[c : c + k - 1])
+                if k - j > b_len:
+                    continue
+                node = b_nodes[bisect_left(b_depths, k - j)]
+                y1, y2 = node.lo, node.hi
+            node = a_nodes[bisect_left(a_depths, j)]
+            stats.grid_queries += 1
+            label = side.grid.range_best(node.lo, node.hi, y1, y2)
+            if label is not None and (best is None or (label > best if rev else label < best)):
+                best = label
+                if best == target:
+                    break
+        labels[pos] = best
+    return labels, stats
+
+
+def all_cuts_best(index: KmerIndex, side: SideIndex, pattern: bytes, k: int) -> list[int | None]:
+    """The label of every k-mer of ``pattern`` on ``side``, by pattern
+    position, from split loops that visit every cut: no live-cut filter."""
+    positions = range(len(pattern) - k + 1)
+    labels, _ = split_loops(index, side, pattern, k, positions, live_only=False)
+    return [labels[i] for i in positions]
 
 
 def candidate_prefixes(concatenation: Concatenation, parse: Lz77Parse) -> tuple[bytes, ...]:

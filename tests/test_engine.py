@@ -20,6 +20,7 @@ from helpers import (
     random_instance,
     random_pattern,
     random_tree_newick,
+    split_loops,
 )
 from phylokmer import (
     build_index,
@@ -30,7 +31,7 @@ from phylokmer import (
     save_index,
     side_query,
 )
-from phylokmer.engine import HEAD_CAP, QueryStats, _QueryState
+from phylokmer.engine import HEAD_CAP, QueryStats, _sweep
 from phylokmer.grid import ContextGrid
 from phylokmer.model import GenomeRecord, parse_newick
 
@@ -215,32 +216,33 @@ def test_grid_size_bound_on_nested_phrases():
 
 
 def _assert_live_cuts_match_all_cuts(index, pattern, k):
-    """Per k-mer and side, the live-cut loop gives the answer and makes the
-    grid queries of the all-cuts loop; classify agrees with both."""
-    live = _QueryState(index, pattern, k, QueryStats())
-    every = _QueryState(index, pattern, k, QueryStats())
-    answers, queries = [], 0
-    for i in range(len(pattern) - k + 1):
-        labels = []
-        for side in (index.forward, index.reverse):
-            live_before, every_before = live.stats.grid_queries, every.stats.grid_queries
-            label = all_cuts_best(every, side, i)
-            assert live.best(side, i) == label, (pattern, k, i, side.is_reverse)
-            made = every.stats.grid_queries - every_before
-            assert live.stats.grid_queries - live_before == made, (pattern, k, i, side.is_reverse)
-            labels.append((label, made))
-        (left, left_made), (right, right_made) = labels
-        # classify asks the reverse side only about k-mers found somewhere
-        answers.append(None if left is None else index.lca.query(left, right))
-        queries += left_made + (0 if left is None else right_made)
-    assert live.stats.descents <= every.stats.descents
+    """Per k-mer and side, the sweep gives the label of the all-cuts loops;
+    the live-cut loops give it too and make the same grid queries.  classify
+    answers with the LCA of those labels and makes the descents and grid
+    queries of the live-cut loops, the reverse side's only for found k-mers."""
+    n = len(pattern) - k + 1
+    left = all_cuts_best(index, index.forward, pattern, k)
+    right = all_cuts_best(index, index.reverse, pattern, k)
+    found = [i for i in range(n) if left[i] is not None]
+    loop_stats = []
+    for side, want, asked in ((index.forward, left, range(n)), (index.reverse, right, found)):
+        swept = _sweep(index, side, pattern, k, list(range(n)), QueryStats())
+        assert swept[::-1 if side.is_reverse else 1] == want, (pattern, k, side.is_reverse)
+        live, live_stats = split_loops(index, side, pattern, k, asked)
+        every, every_stats = split_loops(index, side, pattern, k, asked, live_only=False)
+        assert live == every == {i: want[i] for i in asked}, (pattern, k, side.is_reverse)
+        assert live_stats.grid_queries == every_stats.grid_queries, (pattern, k, side.is_reverse)
+        assert live_stats.descents <= every_stats.descents
+        loop_stats.append(live_stats)
     results, stats = classify_with_stats(index, pattern, k)
+    answers = [None if a is None else index.lca.query(a, b) for a, b in zip(left, right)]
     assert [r.answer for r in results] == answers, (pattern, k)
-    assert stats.grid_queries == queries, (pattern, k)
-    for kmer in {pattern[i : i + k] for i in range(0, len(pattern) - k + 1, 5)}:
+    assert stats.descents == stats.verifications == sum(s.descents for s in loop_stats), (pattern, k)
+    assert stats.grid_queries == sum(s.grid_queries for s in loop_stats), (pattern, k)
+    for kmer in {pattern[i : i + k] for i in range(0, n, 5)}:
         for side in (index.forward, index.reverse):
-            every = _QueryState(index, kmer, k, QueryStats())
-            assert side_query(index, side, kmer) == all_cuts_best(every, side, 0), (kmer, side.is_reverse)
+            want = all_cuts_best(index, side, kmer, k)[0]
+            assert side_query(index, side, kmer) == want, (kmer, side.is_reverse)
 
 
 def _live_cut_instances():
