@@ -70,7 +70,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         return 1
     try:
         save_index(index, args.out)
-    except (OSError, ValueError) as exc:  # ValueError: a label too long for the file
+    except (OSError, ValueError) as exc:  # ValueError: a label or text too long for the file
         print(f"error: {args.out}: {exc}", file=sys.stderr)
         return 1
 
@@ -84,7 +84,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         f"reverse: phrases={rev.parse.z} suffixes={len(rev.suffix_refs)} "
         f"prefixes={len(rev.prefix_refs)} grid_points={len(rev.grid.points)}"
     )
-    print(f"wrote {args.out}")
+    print(f"wrote {args.out} ({os.path.getsize(args.out)} bytes)")
     return 0
 
 

@@ -1,25 +1,32 @@
-"""Binary index file format, version 3.
+"""Binary index file format, version 4: the LZ77 parses, not the text.
 
 Little-endian throughout.  Layout: magic, format version (u16), sentinel
-byte, tree section, the forward text (stored once: the reverse side's text
-is its reversal), then the phrase records of the forward and of the reverse
-side, and last a CRC32 of every byte before it.  A section is a u32 row
-count followed by one ``struct``-packed column per field.  Everything else
-is derived on load: the concatenation from the leaf labels and the text
-split at the sentinel, then each side's contexts, tries and grid by the
+byte, tree section, the text length (u32), the phrases of the forward and
+of the reverse side, and last a CRC32 of every byte before it.  A section
+is a u32 row count followed by one ``struct``-packed column per field.  A
+phrase is its match length (u32) and its source + 1 (u32, 0 for none); a
+forward phrase adds its literal (u8), while a reverse phrase's literal is a
+byte of the reversed text.  A final phrase that has no literal writes 0 in
+its place, so an index has exactly one file.  Everything else is derived on
+load: the text by copying each forward phrase from its source, phrase
+starts as running sums, the concatenation from the leaf labels and the
+text split at the sentinel, each side's contexts, tries and grid by the
 same ``engine.build_side`` the build uses, and the LCA tables.
 
 ``save_index`` writes a temporary file next to the target, fsyncs it and
 renames it over the target, so a failed save leaves the previous file as it
-was.  ``load_index`` checks the magic, the version and the CRC, then the
-structure: UTF-8 labels, a tree that passes the checks ``parse_newick``
+was; a text of 2**32 bytes or more raises ValueError before anything is
+written.  ``load_index`` checks the magic, the version and the CRC, then
+the structure: UTF-8 labels, a tree that passes the checks ``parse_newick``
 trees pass (``model.tree_from_parents``: one root, no cycle, in-order
-vertex numbers, unique non-empty leaf labels), one genome per leaf, and
-phrases that tile the text and copy what their earlier sources hold.
-That is all an exact answer needs: every k-mer's leftmost occurrence then
-crosses a phrase boundary.  Any failure raises IndexFileError.  Version 1
-and 2 files are rejected ("unsupported format version ...") and must be
-rebuilt.
+vertex numbers, unique non-empty leaf labels), phrase lengths that tile the
+declared length on each side (before anything is decoded), each phrase
+copying an earlier source, reverse phrases that decode to the reversed
+text, and one genome per leaf.  That is all an exact answer needs: every
+k-mer's leftmost occurrence then crosses a phrase boundary.  Load memory
+follows the declared text length, at most 4 GiB - 1, not the file size.
+Any failure raises IndexFileError.  Version 1, 2 and 3 files are rejected
+("unsupported format version ...") and must be rebuilt.
 """
 from __future__ import annotations
 
@@ -27,6 +34,7 @@ import contextlib
 import os
 import struct
 import zlib
+from itertools import accumulate
 
 from .engine import KmerIndex, assemble_index
 from .grid import ContextGrid  # noqa: F401 -- perfbench/tracing.py wraps store.ContextGrid
@@ -36,9 +44,8 @@ from .model import GenomeRecord, PhyloTree, build_concatenation, tree_from_paren
 from .tries import build_trie  # noqa: F401 -- perfbench/tracing.py wraps store.build_trie
 
 MAGIC = b"PKMRIDX\x00"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
-_NO_LITERAL = 0x0100
 _NO_LABEL = 0xFFFF
 
 
@@ -94,64 +101,58 @@ def _read_tree(src: _Reader) -> PhyloTree:
     return tree_from_parents((0, *parents), (None, *labels))
 
 
-def _write_parse(out: list[bytes], parse: Lz77Parse) -> None:
-    phrases = [
-        (
-            p.start,
-            p.match_len,
-            0 if p.source is None else p.source + 1,
-            _NO_LITERAL if p.literal is None else p.literal,
-        )
+def _write_parse(out: list[bytes], parse: Lz77Parse, codes: str) -> None:
+    """Match lengths, sources + 1 (0: none) and, for "IIB", literals (0: none)."""
+    rows = [
+        (p.match_len, 0 if p.source is None else p.source + 1, p.literal or 0)
         for p in parse.phrases
     ]
-    _section(out, "QQQH", phrases)
+    _section(out, codes, rows)
 
 
-def _check_phrases(text: bytes, starts, match_lens, sources, literals) -> None:
-    """The phrases must tile the text, each copying an earlier source then its literal."""
-    n = len(text)
-    pos = 0
-    for start, length, source, literal in zip(starts, match_lens, sources, literals):
-        end = start + length
-        if literal == _NO_LITERAL:
-            ok = length > 0 and end == n
-        else:
-            ok = end < n and text[end] == literal
-        # source is stored + 1 with 0 for none: text[-1:-1] is empty like a zero-length match
-        if not (
-            ok
-            and start == pos
-            and (source == 0) == (length == 0)
-            and source <= start
-            and text[source - 1 : source - 1 + length] == text[start:end]
-        ):
-            raise IndexFileError(f"phrase at {start} does not match the text")
-        pos = end + (literal != _NO_LITERAL)
-    _check(pos == n, "phrases do not cover the text")
+def _read_parse(src: _Reader, n: int, text: bytes | None = None) -> tuple[bytes, Lz77Parse]:
+    """Read one side's phrases, check that they tile ``n`` bytes, and decode them.
 
-
-def _read_parse(src: _Reader, text: bytes) -> Lz77Parse:
-    starts, match_lens, sources, literals = src.section("QQQH")
-    _check_phrases(text, starts, match_lens, sources, literals)
+    The reverse side, given its reversed ``text``, has no literal column: it
+    takes its literals from ``text`` and must decode to it.
+    """
+    lens, sources, *literals = src.section("IIB" if text is None else "II")
+    starts = [0, *accumulate(length + 1 for length in lens)]
+    short = starts.pop() - n  # 1 when the final phrase has no literal
+    _check(short in (0, 1) and (not short or lens[-1] > 0), f"phrases do not tile {n} bytes")
+    if text is not None:
+        literals = [[text[s + m] if s + m < n else 0 for s, m in zip(starts, lens)]]
+    (literals,) = literals
+    _check(not short or literals[-1] == 0, "literal byte after the final phrase's match")
+    out = bytearray()
+    # source is stored + 1 with 0 for none, and out holds the text before start
+    for start, length, source, literal in zip(starts, lens, sources, literals):
+        if (source == 0) != (length == 0) or source > start:
+            raise IndexFileError(f"phrase at {start} has no earlier source")
+        piece = out[source - 1 : source - 1 + length]
+        if len(piece) < length:  # a source that overlaps the phrase repeats its period
+            piece = (piece * (length // len(piece) + 1))[:length]
+        out += piece
+        out.append(literal)
+    del out[n:]
+    _check(text is None or out == text, "reverse phrases do not spell the reversed text")
     phrases = tuple(
-        Phrase(
-            start=start,
-            match_len=match_len,
-            source=source - 1 if source else None,
-            literal=None if literal == _NO_LITERAL else literal,
-        )
-        for start, match_len, source, literal in zip(starts, match_lens, sources, literals)
+        Phrase(start, length, source - 1 if source else None, lit if start + length < n else None)
+        for start, length, source, lit in zip(starts, lens, sources, literals)
     )
-    return Lz77Parse(phrases=phrases, boundary_positions=(*starts, len(text)))
+    return bytes(out), Lz77Parse(phrases=phrases, boundary_positions=(*starts, n))
 
 
 def save_index(index: KmerIndex, path) -> None:
-    """Write the index to ``path`` in format version 3, atomically."""
+    """Write the index to ``path`` in format version 4, atomically."""
+    n = len(index.forward.text)
+    if n >> 32:
+        raise ValueError(f"text of {n} bytes too long for the index file")
     out = [MAGIC, struct.pack("<HB", FORMAT_VERSION, index.sentinel)]
     _write_tree(out, index.tree)
-    out += [struct.pack("<Q", len(index.forward.text)), index.forward.text]
-    _write_parse(out, index.forward.parse)
-    _write_parse(out, index.reverse.parse)
+    out.append(struct.pack("<I", n))
+    _write_parse(out, index.forward.parse, "IIB")
+    _write_parse(out, index.reverse.parse, "II")
     payload = b"".join(out)
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
@@ -184,10 +185,9 @@ def load_index(path) -> KmerIndex:
     src = _Reader(data, head, len(data) - 4)
     try:
         tree = _read_tree(src)
-        (size,) = struct.unpack("<Q", src.take(8))
-        text = src.take(size)
-        forward = _read_parse(src, text)
-        reverse = _read_parse(src, text[::-1])
+        (n,) = struct.unpack("<I", src.take(4))
+        text, forward = _read_parse(src, n)
+        _, reverse = _read_parse(src, n, text[::-1])
         _check(src.pos == src.end, "trailing bytes after index data")
         pieces = text.split(bytes([sentinel]))
         names = tree.leaf_labels()

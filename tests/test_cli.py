@@ -32,7 +32,7 @@ def test_build_summary(built, capsys, tmp_path):
     assert "genomes: 5  vertices: 9  text: 44 bytes" in captured.out
     assert "forward: phrases=12 suffixes=9 prefixes=8 grid_points=10" in captured.out
     assert "reverse: phrases=10" in captured.out
-    assert f"wrote {out}" in captured.out
+    assert f"wrote {out} (313 bytes)" in captured.out
     assert out.exists()
 
 
@@ -161,7 +161,7 @@ def test_query_rejects_damaged_index(tmp_path, capsys):
 
 def test_query_rejects_bit_flipped_index_in_one_line(built, capsys):
     data = bytearray(built.read_bytes())
-    data[-8] ^= 0x02  # a reverse-side phrase literal
+    data[-8] ^= 0x02  # low byte of the last reverse phrase's source + 1
     built.write_bytes(data)
     code = main(["query", "--index", str(built), "--pattern", "GATTACATAGATACAT", "-k", "3"])
     captured = capsys.readouterr()

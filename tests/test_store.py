@@ -1,4 +1,5 @@
 """Index serialization: round-trips and format validation."""
+import dataclasses
 import os
 import random
 import struct
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from helpers import (
     FIXTURE_NAMES,
-    FIXTURE_TEXT,
     random_instance,
     random_pattern,
+    reconstruct,
     reference_context_sets,
 )
 from phylokmer import (
@@ -25,26 +26,30 @@ from phylokmer import (
     save_index,
 )
 from phylokmer.lz77 import lz77_parse
-from phylokmer.model import reverse_concatenation
+from phylokmer.model import parse_newick, reverse_concatenation
 from phylokmer.store import MAGIC, IndexFileError
 
 SENTINEL = len(MAGIC) + 2  # after the magic and the u16 version
 HEAD = SENTINEL + 1
-# The fixture's text follows 9 tree vertices (u32 parent, u16 label size,
-# label bytes) and the u64 text size.
-TEXT = HEAD + 4 + 9 * 6 + sum(map(len, FIXTURE_NAMES)) + 8
-# Its 12 forward phrase records, after the u32 count: columns of u64 start,
-# u64 match length, u64 source + 1 and u16 literal.
-FORWARD_PHRASES = TEXT + len(FIXTURE_TEXT) + 4
-LAST_FORWARD_START = FORWARD_PHRASES + 11 * 8
-LAST_FORWARD_SOURCE = FORWARD_PHRASES + 2 * 12 * 8 + 11 * 8
-# Then the reverse side's 10 records.
-REVERSE_PHRASES = FORWARD_PHRASES + 12 * 26 + 4
+# The fixture's u32 text length (44) follows 9 tree vertices (u32 parent,
+# u16 label size, label bytes).
+TEXT_LENGTH = HEAD + 4 + 9 * 6 + sum(map(len, FIXTURE_NAMES))
+# Its 12 forward phrase records, after the u32 count: columns of u32 match
+# length, u32 source + 1 and u8 literal.
+FORWARD_PHRASES = TEXT_LENGTH + 4 + 4
+LAST_FORWARD_LENGTH = FORWARD_PHRASES + 11 * 4
+LAST_FORWARD_SOURCE = FORWARD_PHRASES + 12 * 4 + 11 * 4
+FORWARD_LITERALS = FORWARD_PHRASES + 12 * 8
+# Then the reverse side's 10 records: u32 match length and u32 source + 1.
+REVERSE_PHRASES = FORWARD_PHRASES + 12 * 9 + 4
+REVERSE_SOURCES = REVERSE_PHRASES + 10 * 4
 
 
 def test_fixture_round_trip(worked_index, tmp_path):
     path = tmp_path / "fixture.idx"
     save_index(worked_index, path)
+    # The phrases and the CRC end the file: no copy of the text hides in it.
+    assert path.stat().st_size == REVERSE_SOURCES + 10 * 4 + 4 == 313
     loaded = load_index(path)
     assert loaded.forward.text == worked_index.forward.text
     assert loaded.forward.parse == worked_index.forward.parse
@@ -82,6 +87,56 @@ def test_random_round_trips(tmp_path):
             assert classify(loaded, pattern, k) == classify(index, pattern, k)
 
 
+def _unary(rng):
+    """One genome of 5000 A: one self-overlapping phrase copies all but the first byte."""
+    return parse_newick("G;"), [GenomeRecord("G", b"A" * 5000)]
+
+
+def _period3(rng):
+    return parse_newick("(G1,G2);"), [
+        GenomeRecord("G1", b"ACG" * 900 + b"T"),
+        GenomeRecord("G2", b"CGA" * 400 + b"C"),
+    ]
+
+
+def _random(rng):
+    return random_instance(rng, max_genomes=5, max_genome_len=300)
+
+
+@pytest.mark.parametrize(
+    "make, trials", [(_unary, 1), (_period3, 1), (_random, 12)], ids=["unary", "period-3", "random"]
+)
+def test_decoded_text_and_parses_equal_the_built_ones(make, trials, tmp_path):
+    rng = random.Random(67)
+    for trial in range(trials):
+        tree, genomes = make(rng)
+        index = build_index(tree, genomes)
+        path = tmp_path / f"d{trial}.idx"
+        save_index(index, path)
+        loaded = load_index(path)
+        assert loaded.forward.text == reconstruct(index.forward.parse) == index.forward.text
+        assert loaded.forward.parse == index.forward.parse
+        assert loaded.reverse.parse == index.reverse.parse
+        if make is _unary:
+            assert [p.match_len for p in loaded.forward.parse.phrases] == [0, 4999]
+        for _ in range(6):
+            pattern = random_pattern(rng, genomes, max_len=40)
+            k = rng.randint(1, len(pattern))
+            assert classify(loaded, pattern, k) == naive_classify(tree, genomes, pattern, k)
+
+
+def test_text_too_long_for_u32_is_rejected_before_writing(worked_index, tmp_path):
+    class Huge:
+        def __len__(self):
+            return 1 << 32
+
+    forward = dataclasses.replace(worked_index.forward, text=Huge())
+    huge = dataclasses.replace(worked_index, forward=forward)
+    with pytest.raises(ValueError, match="too long"):
+        save_index(huge, tmp_path / "huge.idx")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_file_starts_with_magic(worked_index, tmp_path):
     path = tmp_path / "m.idx"
     save_index(worked_index, path)
@@ -113,7 +168,7 @@ def test_rejects_foreign_and_damaged_files(worked_index, tmp_path):
     with pytest.raises(IndexFileError):
         load_index(wrong_version)
 
-    for version in (1, 2):
+    for version in (1, 2, 3):
         old = tmp_path / f"v{version}.idx"
         old.write_bytes(data[: len(MAGIC)] + struct.pack("<H", version) + data[len(MAGIC) + 2 :])
         with pytest.raises(IndexFileError, match=f"unsupported format version {version}"):
@@ -151,12 +206,45 @@ def test_every_single_bit_flip_is_rejected(worked_index, tmp_path):
         (HEAD + 4 + 9 * 4, struct.pack("<3H", 0xFFFF, 0xFFFF, 16), "leaf without a label"),
         # Leaf 3's label AGATACAT rewritten to leaf 1's.
         (HEAD + 4 + 9 * 6 + 8, b"GATTACAT", "duplicate leaf label 'GATTACAT'"),
-        # The last forward phrase moved far past the end of the text.
-        (LAST_FORWARD_START, struct.pack("<Q", 1_000_000), "phrase at 1000000"),
-        # Its source, 26 (stored as 27), shifted by 3: still before the phrase.
-        (LAST_FORWARD_SOURCE, struct.pack("<Q", 30), "phrase at 35"),
+        # The text length one byte over: the forward phrases spell 44 bytes.
+        pytest.param(TEXT_LENGTH, struct.pack("<I", 45), "phrases do not tile 45 bytes", id="length+1"),
+        # One byte short: the last forward phrase would end the text without
+        # a literal, but its literal byte reads "A", not 0.
+        pytest.param(
+            TEXT_LENGTH, struct.pack("<I", 43), "literal byte after the final", id="final-literal"
+        ),
+        # The last forward phrase's length overruns the declared 44 bytes; it
+        # is rejected before decoding, which would copy 4 GiB.
+        pytest.param(
+            LAST_FORWARD_LENGTH,
+            struct.pack("<I", 0xFFFFFFFF),
+            "phrases do not tile 44 bytes",
+            id="forward-length-overrun",
+        ),
+        # Its source, 26 (stored as 27), shifted by 3: still before the phrase,
+        # but the decoded text changes and the reverse phrases no longer spell
+        # its reversal.
+        pytest.param(
+            LAST_FORWARD_SOURCE,
+            struct.pack("<I", 30),
+            "reverse phrases do not spell",
+            id="forward-source-shifted",
+        ),
         # Its source set to its own start, which copies itself trivially.
-        (LAST_FORWARD_SOURCE, struct.pack("<Q", 36), "phrase at 35"),
+        pytest.param(
+            LAST_FORWARD_SOURCE,
+            struct.pack("<I", 36),
+            "phrase at 35 has no earlier source",
+            id="source-at-own-start",
+        ),
+        # The reverse phrase at 2 copies "A" from 0 (stored as 1); from 1 it
+        # would copy "T".
+        pytest.param(
+            REVERSE_SOURCES + 2 * 4,
+            struct.pack("<I", 2),
+            "reverse phrases do not spell",
+            id="reverse-source-other-byte",
+        ),
     ],
 )
 def test_crafted_files_with_valid_crc_are_rejected(worked_index, tmp_path, offset, patch, problem):
@@ -196,30 +284,30 @@ def fixture_file(worked_index, tmp_path_factory):
     return path
 
 
-def _phrase_field(side: int, row: int, column: int) -> tuple[int, str]:
-    """Offset and struct code of one phrase record field of the fixture file."""
+def _phrase_field(side: int, row: int, column: int) -> int:
+    """Offset of one phrase's u32 match length (column 0) or source + 1 (1) in the fixture file."""
     base, z = ((FORWARD_PHRASES, 12), (REVERSE_PHRASES, 10))[side]
-    row %= z
-    if column < 3:
-        return base + column * 8 * z + row * 8, "<Q"
-    return base + 24 * z + row * 2, "<H"
+    return base + column * 4 * z + row % z * 4
 
 
 @st.composite
 def patches(draw):
-    """(offset, bytes) for one phrase field, text byte, the sentinel or one tree parent."""
-    kind = draw(st.sampled_from(["phrase", "text", "sentinel", "parent"]))
+    """(offset, bytes) for one phrase length or source, one forward literal,
+    the text length, the sentinel or one tree parent."""
+    kind = draw(st.sampled_from(["phrase", "literal", "length", "sentinel", "parent"]))
     if kind == "phrase":
-        offset, code = _phrase_field(
-            draw(st.integers(0, 1)), draw(st.integers(0, 11)), draw(st.integers(0, 3))
+        offset = _phrase_field(
+            draw(st.integers(0, 1)), draw(st.integers(0, 11)), draw(st.integers(0, 1))
         )
-        return offset, struct.pack(code, draw(st.integers(0, 0x101 if code == "<H" else 50)))
+        return offset, struct.pack("<I", draw(st.integers(0, 50)))
+    if kind == "length":
+        return TEXT_LENGTH, struct.pack("<I", draw(st.integers(40, 48)))
+    if kind == "parent":
+        return HEAD + 4 + 4 * draw(st.integers(0, 8)), struct.pack("<I", draw(st.integers(0, 10)))
     value = bytes([draw(st.sampled_from(b"ACGT$\x00\xff") | st.integers(0, 255))])
-    if kind == "text":
-        return TEXT + draw(st.integers(0, len(FIXTURE_TEXT) - 1)), value
-    if kind == "sentinel":
-        return SENTINEL, value
-    return HEAD + 4 + 4 * draw(st.integers(0, 8)), struct.pack("<I", draw(st.integers(0, 10)))
+    if kind == "literal":
+        return FORWARD_LITERALS + draw(st.integers(0, 11)), value
+    return SENTINEL, value
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
