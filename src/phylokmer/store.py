@@ -116,13 +116,13 @@ def _read_parse(src: _Reader, n: int, text: bytes | None = None) -> tuple[bytes,
     The reverse side, given its reversed ``text``, has no literal column: it
     takes its literals from ``text`` and must decode to it.
     """
-    lens, sources, *literals = src.section("IIB" if text is None else "II")
+    lens, sources, *column = src.section("IIB" if text is None else "II")
     starts = [0, *accumulate(length + 1 for length in lens)]
     short = starts.pop() - n  # 1 when the final phrase has no literal
     _check(short in (0, 1) and (not short or lens[-1] > 0), f"phrases do not tile {n} bytes")
-    if text is not None:
-        literals = [[text[s + m] if s + m < n else 0 for s, m in zip(starts, lens)]]
-    (literals,) = literals
+    literals = column[0] if column else [
+        text[s + m] if s + m < n else 0 for s, m in zip(starts, lens)
+    ]
     _check(not short or literals[-1] == 0, "literal byte after the final phrase's match")
     out = bytearray()
     # source is stored + 1 with 0 for none, and out holds the text before start
@@ -146,7 +146,7 @@ def _read_parse(src: _Reader, n: int, text: bytes | None = None) -> tuple[bytes,
 def save_index(index: KmerIndex, path) -> None:
     """Write the index to ``path`` in format version 4, atomically."""
     n = len(index.forward.text)
-    if n >> 32:
+    if n >= 1 << 32:
         raise ValueError(f"text of {n} bytes too long for the index file")
     out = [MAGIC, struct.pack("<HB", FORMAT_VERSION, index.sentinel)]
     _write_tree(out, index.tree)
