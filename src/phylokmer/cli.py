@@ -40,7 +40,7 @@ def _read_fastq(stream: IO[str], path: str) -> Iterator[tuple[str, bytes]]:
         name = header[1:].split()[0] if header[1:].split() else ""
         if not name:
             raise ValueError(f"{path}: FASTQ record with empty id")
-        yield name, seq.upper().encode("latin-1")
+        yield name, seq.encode("latin-1").upper()
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -68,10 +68,16 @@ def cmd_build(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:  # it carries no message
+        print("error: out of memory while building the index", file=sys.stderr)
+        return 1
     try:
         save_index(index, args.out)
     except (OSError, ValueError) as exc:  # ValueError: a label or text too long for the file
         print(f"error: {args.out}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(f"error: {args.out}: out of memory while saving the index", file=sys.stderr)
         return 1
 
     fwd, rev = index.forward, index.reverse
@@ -105,7 +111,7 @@ def _emit_rows(index: KmerIndex, read_id: str, sequence: bytes, k: int, out: IO[
 def cmd_query(args: argparse.Namespace) -> int:
     if args.pattern is not None:
         try:
-            pattern = args.pattern.upper().encode("latin-1")
+            pattern = args.pattern.encode("latin-1").upper()
         except UnicodeEncodeError as exc:
             bad = exc.object[exc.start]
             print(f"error: --pattern: {bad!r} is not a latin-1 character", file=sys.stderr)
@@ -114,6 +120,9 @@ def cmd_query(args: argparse.Namespace) -> int:
         index = load_index(args.index)
     except (OSError, IndexFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # a valid file may declare a text too long for this machine
+        print(f"error: {args.index}: out of memory while loading the index", file=sys.stderr)
         return 1
 
     sentinel = bytes([index.sentinel])

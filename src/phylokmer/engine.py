@@ -76,13 +76,13 @@ class SideIndex:
 
     def head_tables(self, h: int) -> tuple[frozenset[bytes], frozenset[bytes]]:
         """The first ``h`` bytes of each reversed suffix string and each prefix
-        string of ``h`` bytes or more; made on first use, kept in ``heads``.
-        ``h`` is at most ``HEAD_CAP``, so the tables stay small for any k."""
+        string of ``h`` bytes or more, read from the two tries' texts; made
+        on first use, kept in ``heads``.  ``h`` is at most ``HEAD_CAP``, so
+        the tables stay small for any k."""
         if h not in self.heads:
-            flipped = self.text[::-1]
-            self.heads[h] = (
-                frozenset(flipped[s : s + h] for s, n in self.suffix_refs if n >= h),
-                frozenset(self.text[p : p + h] for p, n in self.prefix_refs if n >= h),
+            self.heads[h] = tuple(
+                frozenset(trie.text[p : p + h] for p, n in trie.refs if n >= h)
+                for trie in (self.suffix_trie, self.prefix_trie)
             )
         return self.heads[h]
 

@@ -4,7 +4,9 @@ Each phrase is the longest prefix of the remaining text that occurs starting
 at an earlier position (the source may overlap the phrase itself), followed
 by one literal byte; the final phrase omits the literal when the match
 consumes the rest of the text.  Sentinels are ordinary bytes here.  The
-source is the leftmost occurrence of the longest match.
+source is the leftmost occurrence of the longest match.  The parse is kept
+as columns, not one object per phrase: match lengths, sources, the literal
+bytes and the phrase starts, the first three as the index file stores them.
 
 Long matches come from a sampled gram index, built once per call and
 dropped with it: the ``GRAM``-grams at positions divisible by ``STEP``, each
@@ -38,31 +40,22 @@ CAP = 32  # more proposed sources than this for one offset: fall back
 
 
 @dataclass(frozen=True)
-class Phrase:
-    """One phrase: ``match_len`` bytes copied from ``source``, then ``literal``.
-
-    ``source`` is None iff ``match_len`` is 0; ``literal`` is None only for a
-    final phrase whose match reaches the end of the text.
+class Lz77Parse:
+    """The parse as columns, one entry per phrase: phrase p copies
+    ``match_lens[p]`` bytes from ``sources[p]`` (-1, no source, iff the
+    match length is 0), then ``literals[p]``.  ``literals`` is one byte
+    short when the final phrase's match reaches the end of the text.
+    ``boundary_positions`` holds the phrase starts, then the text length.
     """
 
-    start: int
-    match_len: int
-    source: int | None
-    literal: int | None
-
-    @property
-    def length(self) -> int:
-        return self.match_len + (0 if self.literal is None else 1)
-
-
-@dataclass(frozen=True)
-class Lz77Parse:
-    phrases: tuple[Phrase, ...]
+    match_lens: tuple[int, ...]
+    sources: tuple[int, ...]
+    literals: bytes
     boundary_positions: tuple[int, ...]
 
     @property
     def z(self) -> int:
-        return len(self.phrases)
+        return len(self.match_lens)
 
 
 def common_prefix(text: bytes, a: int, b: int, limit: int) -> int:
@@ -125,7 +118,9 @@ def lz77_parse(text: bytes) -> Lz77Parse:
             grams[gram].append(p)
         else:
             grams[gram] = [p]
-    phrases: list[Phrase] = []
+    match_lens: list[int] = []
+    sources: list[int] = []
+    literals = bytearray()
     boundaries: list[int] = []
     i = 0
     while i < n:
@@ -157,7 +152,7 @@ def lz77_parse(text: bytes) -> Lz77Parse:
                     elif j < source and text[j : j + match_len] == same:
                         source = j
         if match_len < EXACT:
-            match_len, source, start = 0, None, 0
+            match_len, source, start = 0, -1, 0
             while i + match_len < n:
                 j = find(text[i : i + match_len + 1], start, i + match_len)
                 if j < 0:
@@ -165,9 +160,11 @@ def lz77_parse(text: bytes) -> Lz77Parse:
                 source, start = j, j + 1
                 match_len += 1
                 match_len += common_prefix(text, j + match_len, i + match_len, n - i - match_len)
+        match_lens.append(match_len)
+        sources.append(source)
         end = i + match_len
-        literal = text[end] if end < n else None
-        phrases.append(Phrase(start=i, match_len=match_len, source=source, literal=literal))
+        if end < n:
+            literals.append(text[end])
         i = end + (end < n)
     boundaries.append(n)
-    return Lz77Parse(phrases=tuple(phrases), boundary_positions=tuple(boundaries))
+    return Lz77Parse(tuple(match_lens), tuple(sources), bytes(literals), tuple(boundaries))

@@ -254,7 +254,8 @@ def tree_from_parents(parent: Sequence[int], labels: Sequence[str | None]) -> Ph
 
 
 def parse_fasta(source: str | IO[str], sentinel: bytes | int = DEFAULT_SENTINEL) -> list[GenomeRecord]:
-    """Parse FASTA records: multi-record, wrapped lines, uppercased sequences.
+    """Parse FASTA records: multi-record, wrapped lines, sequences with a-z
+    uppercased and every other byte kept.
 
     Record names are the first whitespace-delimited token of the header.
     Errors: empty input, duplicate or missing names, empty sequences, and
@@ -295,7 +296,7 @@ def parse_fasta(source: str | IO[str], sentinel: bytes | int = DEFAULT_SENTINEL)
             if stripped and name is None:
                 raise FastaError(f"sequence data before any header on line {line_no}")
             if stripped:
-                chunks.append(stripped.upper().encode("latin-1"))
+                chunks.append(stripped.encode("latin-1").upper())
     flush(line_no + 1)
     if not records:
         raise FastaError("no FASTA records found")

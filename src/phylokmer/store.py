@@ -4,12 +4,15 @@ Little-endian throughout.  Layout: magic, format version (u16), sentinel
 byte, tree section, the text length (u32), the phrases of the forward and
 of the reverse side, and last a CRC32 of every byte before it.  A section
 is a u32 row count followed by one ``struct``-packed column per field.  A
-phrase is its match length (u32) and its source + 1 (u32, 0 for none); a
-forward phrase adds its literal (u8), while a reverse phrase's literal is a
-byte of the reversed text.  A final phrase that has no literal writes 0 in
-its place, so an index has exactly one file.  Everything else is derived on
-load: the text by copying each forward phrase from its source, phrase
-starts as running sums, the concatenation from the leaf labels and the
+side's section holds the columns of its ``Lz77Parse`` as they are: match
+lengths (u32) and sources + 1 (u32, 0 for none), and on the forward side
+the literals (u8); a reverse phrase's literal is a byte of the reversed
+text.  A final phrase that has no literal writes 0 in its place, so an
+index has exactly one file.  Load reads the columns back into an
+``Lz77Parse``, with no object per phrase.  Everything else is derived on
+load: the text by copying each forward phrase from its source (an
+overlapping source by doubling the copied periods), phrase starts as
+running sums, the concatenation from the leaf labels and the
 text split at the sentinel, each side's contexts, tries and grid by the
 same ``engine.build_side`` the build uses, and the LCA tables.
 
@@ -39,7 +42,7 @@ from itertools import accumulate
 from .engine import KmerIndex, assemble_index
 from .grid import ContextGrid  # noqa: F401 -- perfbench/tracing.py wraps store.ContextGrid
 from .lca import build_lca  # noqa: F401 -- perfbench/tracing.py wraps store.build_lca
-from .lz77 import Lz77Parse, Phrase
+from .lz77 import Lz77Parse
 from .model import GenomeRecord, PhyloTree, build_concatenation, tree_from_parents
 from .tries import build_trie  # noqa: F401 -- perfbench/tracing.py wraps store.build_trie
 
@@ -53,11 +56,10 @@ class IndexFileError(ValueError):
     """Unreadable, damaged or incompatible index file."""
 
 
-def _section(out: list[bytes], codes: str, rows) -> None:
+def _section(out: list[bytes], codes: str, columns) -> None:
     """Append a row count, then one column per struct code in ``codes``."""
-    out.append(struct.pack("<I", len(rows)))
-    # zip(*rows) of no rows yields no columns, not empty ones
-    for code, column in zip(codes, list(zip(*rows)) or [()] * len(codes)):
+    out.append(struct.pack("<I", len(columns[0])))
+    for code, column in zip(codes, columns):
         out.append(struct.pack(f"<{len(column)}{code}", *column))
 
 
@@ -91,7 +93,7 @@ def _write_tree(out: list[bytes], tree: PhyloTree) -> None:
     if any(label is not None and len(label) >= _NO_LABEL for label in labels):
         raise ValueError("vertex label too long")
     sizes = [_NO_LABEL if label is None else len(label) for label in labels]
-    _section(out, "IH", list(zip(tree.parent[1:], sizes)))
+    _section(out, "IH", (tree.parent[1:], sizes))
     out.extend(label for label in labels if label)
 
 
@@ -99,15 +101,6 @@ def _read_tree(src: _Reader) -> PhyloTree:
     parents, sizes = src.section("IH")
     labels = [None if n == _NO_LABEL else src.take(n).decode("utf-8") for n in sizes]
     return tree_from_parents((0, *parents), (None, *labels))
-
-
-def _write_parse(out: list[bytes], parse: Lz77Parse, codes: str) -> None:
-    """Match lengths, sources + 1 (0: none) and, for "IIB", literals (0: none)."""
-    rows = [
-        (p.match_len, 0 if p.source is None else p.source + 1, p.literal or 0)
-        for p in parse.phrases
-    ]
-    _section(out, codes, rows)
 
 
 def _read_parse(src: _Reader, n: int, text: bytes | None = None) -> tuple[bytes, Lz77Parse]:
@@ -120,27 +113,26 @@ def _read_parse(src: _Reader, n: int, text: bytes | None = None) -> tuple[bytes,
     starts = [0, *accumulate(length + 1 for length in lens)]
     short = starts.pop() - n  # 1 when the final phrase has no literal
     _check(short in (0, 1) and (not short or lens[-1] > 0), f"phrases do not tile {n} bytes")
-    literals = column[0] if column else [
-        text[s + m] if s + m < n else 0 for s, m in zip(starts, lens)
-    ]
-    _check(not short or literals[-1] == 0, "literal byte after the final phrase's match")
+    if column:
+        _check(not short or column[0][-1] == 0, "literal byte after the final phrase's match")
+        literals = bytes(column[0][: len(lens) - short])
+    else:
+        literals = bytes(text[s + m] for s, m in zip(starts, lens[: len(lens) - short]))
     out = bytearray()
-    # source is stored + 1 with 0 for none, and out holds the text before start
-    for start, length, source, literal in zip(starts, lens, sources, literals):
+    # source is stored + 1 with 0 for none, and out holds the text before start;
+    # a padding literal after the last phrase is cut with any other excess
+    for start, length, source, literal in zip(starts, lens, sources, literals + b"\0"):
         if (source == 0) != (length == 0) or source > start:
             raise IndexFileError(f"phrase at {start} has no earlier source")
-        piece = out[source - 1 : source - 1 + length]
-        if len(piece) < length:  # a source that overlaps the phrase repeats its period
-            piece = (piece * (length // len(piece) + 1))[:length]
-        out += piece
+        out += out[source - 1 : min(source - 1 + length, start)]
+        end = start + length
+        while len(out) < end:  # an overlapping source: double the copied periods
+            out += out[start : start + end - len(out)]
         out.append(literal)
     del out[n:]
     _check(text is None or out == text, "reverse phrases do not spell the reversed text")
-    phrases = tuple(
-        Phrase(start, length, source - 1 if source else None, lit if start + length < n else None)
-        for start, length, source, lit in zip(starts, lens, sources, literals)
-    )
-    return bytes(out), Lz77Parse(phrases=phrases, boundary_positions=(*starts, n))
+    parse = Lz77Parse(lens, tuple(s - 1 for s in sources), literals, (*starts, n))
+    return bytes(out), parse
 
 
 def save_index(index: KmerIndex, path) -> None:
@@ -151,8 +143,10 @@ def save_index(index: KmerIndex, path) -> None:
     out = [MAGIC, struct.pack("<HB", FORMAT_VERSION, index.sentinel)]
     _write_tree(out, index.tree)
     out.append(struct.pack("<I", n))
-    _write_parse(out, index.forward.parse, "IIB")
-    _write_parse(out, index.reverse.parse, "II")
+    for parse, codes in ((index.forward.parse, "IIB"), (index.reverse.parse, "II")):
+        # sources + 1 (0: none); a final phrase without a literal writes 0
+        sources = [source + 1 for source in parse.sources]
+        _section(out, codes, (parse.match_lens, sources, parse.literals.ljust(parse.z, b"\0")))
     payload = b"".join(out)
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:

@@ -19,11 +19,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .lz77 import common_prefix
-
-TextAccess = Callable[[int, int, int], bytes]
 
 
 class _Node:
@@ -56,10 +54,11 @@ class Locus:
 
 class CompactTrie:
     """Compact trie over lex-sorted, distinct strings given as (start, length)
-    refs into ``text``; ``access`` overrides how descents read them back."""
+    refs into ``text``; descents read the strings back from both."""
 
-    def __init__(self, text: bytes, refs: Sequence[tuple[int, int]], access: TextAccess | None):
-        self._access = access or prefix_access(text, refs)
+    def __init__(self, text: bytes, refs: Sequence[tuple[int, int]]):
+        self.text = text
+        self.refs = refs
         self.size = len(refs)
         self.root = self._build(text, refs)
 
@@ -166,7 +165,8 @@ class CompactTrie:
         if depth > limit:
             depth = limit
         if depth:
-            stored = self._access(node.lo - 1, 0, depth)
+            pos = self.refs[node.lo - 1][0]
+            stored = self.text[pos : pos + depth]
             diff = int.from_bytes(stored, "big") ^ int.from_bytes(pattern[:depth], "big")
             if diff:
                 # the highest differing bit sits in the first mismatching byte
@@ -183,25 +183,14 @@ class CompactTrie:
             raise ValueError("locus was produced for a different pattern length")
         if not locus.candidate:
             return locus
-        rep = locus.lo - 1
-        if self._access(rep, 0, locus.matched_depth) != pattern:
+        pos = self.refs[locus.lo - 1][0]
+        if self.text[pos : pos + locus.matched_depth] != pattern:
             return None
         return Locus(matched_depth=locus.matched_depth, lo=locus.lo, hi=locus.hi, candidate=False)
 
 
-def prefix_access(text: bytes, refs: Sequence[tuple[int, int]]) -> TextAccess:
-    """Extractor for set strings stored as (start, length) refs into ``text``."""
-
-    def access(string_id: int, start: int, stop: int) -> bytes:
-        pos, _ = refs[string_id]
-        return text[pos + start : pos + stop]
-
-    return access
-
-
 def build_trie(
     strings: Sequence[bytes] = (),
-    text_access: TextAccess | None = None,
     *,
     text: bytes | None = None,
     refs: Sequence[tuple[int, int]] = (),
@@ -210,11 +199,9 @@ def build_trie(
 
     The strings are (start, length) ``refs`` into ``text``; plain
     ``strings`` are joined into one text first, so both take the same path.
-    ``text_access(string_id, start, stop)`` extracts bytes of a set string;
-    by default it slices ``text``.
     """
     if text is None:
         text = b"".join(strings)
         lengths = [len(s) for s in strings]
         refs = list(zip(accumulate(lengths, initial=0), lengths))
-    return CompactTrie(text, refs, text_access)
+    return CompactTrie(text, refs)

@@ -67,15 +67,16 @@ def reconstruct(parse: Lz77Parse) -> bytes:
     Copies byte by byte so self-overlapping sources reconstruct correctly.
     """
     out = bytearray()
-    for phrase in parse.phrases:
-        if phrase.match_len:
-            src = phrase.source
-            if src is None or src >= phrase.start:
+    for p, (start, length, src) in enumerate(
+        zip(parse.boundary_positions, parse.match_lens, parse.sources)
+    ):
+        if length:
+            if not 0 <= src < start:
                 raise ValueError("corrupt phrase: bad source")
-            for k in range(phrase.match_len):
+            for k in range(length):
                 out.append(out[src + k])
-        if phrase.literal is not None:
-            out.append(phrase.literal)
+        if p < len(parse.literals):
+            out.append(parse.literals[p])
     return bytes(out)
 
 
@@ -88,7 +89,8 @@ def kmer_occurrences(tree: PhyloTree, genomes, kmer: bytes) -> set[int]:
 
 def phrase_texts(parse: Lz77Parse, text: bytes) -> list[bytes]:
     """The byte content of each phrase, sliced from the original text."""
-    return [text[p.start : p.start + p.length] for p in parse.phrases]
+    bounds = parse.boundary_positions
+    return [text[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
 def max_suffix_of_phrase(phrase_text: bytes, sentinel: int = 0x24) -> bytes:
@@ -119,9 +121,9 @@ def reference_contexts(concatenation: Concatenation, parse: Lz77Parse) -> list[B
     text = concatenation.text
     sentinel = concatenation.sentinel
     out = []
-    for phrase in parse.phrases:
-        end = phrase.start + phrase.length
-        suffix = max_suffix_of_phrase(text[phrase.start : end], sentinel)
+    bounds = parse.boundary_positions
+    for start, end in zip(bounds, bounds[1:]):
+        suffix = max_suffix_of_phrase(text[start:end], sentinel)
         if suffix:
             prefix = max_prefix_at(text, end, sentinel)
             genome = genome_of_position(concatenation, end - 1)
@@ -223,7 +225,8 @@ def string_at(trie: CompactTrie, rank: int) -> bytes:
     node = trie.root
     while node.terminal_rank != rank:
         node = next(c for c in node.children.values() if c.lo <= rank <= c.hi)
-    return trie._access(rank - 1, 0, node.depth)
+    pos = trie.refs[rank - 1][0]
+    return trie.text[pos : pos + node.depth]
 
 
 def prefix_intervals(trie: CompactTrie, pattern: bytes) -> tuple[list[int], list[int]]:

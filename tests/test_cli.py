@@ -1,12 +1,20 @@
 """Command line round trips driven through main()."""
 import errno
 import os
+import struct
+import subprocess
 import sys
+import zlib
+from pathlib import Path
 
 import pytest
 
 from helpers import FIXTURE_NEWICK, FIXTURE_NAMES
+from phylokmer import cli, load_index
 from phylokmer.cli import main
+from phylokmer.store import FORMAT_VERSION, MAGIC
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture()
@@ -276,3 +284,79 @@ def test_query_broken_pipe_is_one_line_error(built, capsys, tmp_path, monkeypatc
         os.write(fh.fileno(), b"rows")
     _assert_one_line_error(code, capsys, "Broken pipe")
     assert sink.read_bytes() == b""
+
+
+def test_bytes_outside_a_to_z_are_kept(tmp_path, capsys):
+    # As text, 0xDF (ß) uppercases to "SS" and 0xFF (ÿ) to U+0178, which
+    # latin-1 cannot encode; as bytes only a-z change.
+    tree = tmp_path / "tree.nwk"
+    tree.write_text("(A,B);\n")
+    fasta = tmp_path / "genomes.fa"
+    fasta.write_bytes(b">A\nac\xdfgt\xffa\n>B\nACGTA\n")
+    out = tmp_path / "x.idx"
+    code = main(["build", "--tree", str(tree), "--genomes", str(fasta), "--out", str(out)])
+    assert code == 0
+    assert "text: 13 bytes" in capsys.readouterr().out
+    assert load_index(out).forward.text == b"AC\xdfGT\xffA$ACGTA"
+    code = main(["query", "--index", str(out), "--pattern", "c\xdfg", "-k", "3"])
+    assert code == 0
+    assert capsys.readouterr().out == "pattern\t1\tC\xdfG\t1\tA\n"
+    reads = tmp_path / "reads.fq"
+    reads.write_bytes(b"@r\nt\xffa\n+\nIII\n")
+    code = main(["query", "--index", str(out), "--reads", str(reads), "-k", "3"])
+    assert code == 0
+    assert capsys.readouterr().out == "r\t1\tT\xffA\t1\tA\n"
+
+
+def _unary_index_file(path, n):
+    """A valid 72-byte file for one genome of ``n`` A's: per side, a literal
+    A, then one phrase copying n - 1 bytes from position 0."""
+    payload = MAGIC + struct.pack("<HB", FORMAT_VERSION, ord("$"))
+    payload += struct.pack("<IIH", 1, 0, 1) + b"G"  # one vertex: the root leaf G
+    payload += struct.pack("<I", n)
+    payload += struct.pack("<I2I2I2B", 2, 0, n - 1, 0, 1, ord("A"), 0)
+    payload += struct.pack("<I2I2I", 2, 0, n - 1, 0, 1)
+    path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs resource.setrlimit")
+def test_query_out_of_memory_is_one_line_error(tmp_path):
+    small = tmp_path / "small.idx"
+    _unary_index_file(small, 1000)
+    assert small.stat().st_size == 72
+    assert load_index(small).forward.text == b"A" * 1000
+    huge = tmp_path / "huge.idx"
+    _unary_index_file(huge, (1 << 32) - 1)
+
+    def limit_address_space():  # in the child only
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "phylokmer.cli", "query", "--index", str(huge), "--pattern", "AAA", "-k", "3"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        preexec_fn=limit_address_space,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {huge}: out of memory while loading the index\n"
+
+
+@pytest.mark.parametrize("step", ["build_index", "save_index"])
+def test_build_out_of_memory_is_one_line_error(step, tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, step, fail)
+    tree = tmp_path / "tree.nwk"
+    tree.write_text("(A,B);\n")
+    fasta = tmp_path / "genomes.fa"
+    fasta.write_text(">A\nACGT\n>B\nACGA\n")
+    out = tmp_path / "x.idx"
+    code = main(["build", "--tree", str(tree), "--genomes", str(fasta), "--out", str(out)])
+    _assert_one_line_error(code, capsys, "out of memory")
+    assert code == 1

@@ -43,27 +43,25 @@ def test_single_byte():
     parse = lz77_parse(b"G")
     assert parse.z == 1
     assert parse.boundary_positions == (0, 1)
-    phrase = parse.phrases[0]
-    assert phrase.match_len == 0
-    assert phrase.source is None
-    assert phrase.literal == ord("G")
+    assert parse.match_lens == (0,)
+    assert parse.sources == (-1,)
+    assert parse.literals == b"G"
 
 
 def test_run_of_equal_bytes():
     # AAAA: literal A, then a self-overlapping match of length 3.
     parse = lz77_parse(b"AAAA")
     assert parse.boundary_positions == (0, 1, 4)
-    last = parse.phrases[-1]
-    assert last.match_len == 3
-    assert last.source == 0
-    assert last.literal is None
+    assert parse.match_lens == (0, 3)
+    assert parse.sources == (-1, 0)
+    assert parse.literals == b"A"  # the final phrase has no literal
     assert reconstruct(parse) == b"AAAA"
 
 
 def test_final_phrase_may_lack_literal():
     parse = lz77_parse(b"ABAB")
     assert parse.boundary_positions == (0, 1, 2, 4)
-    assert parse.phrases[-1].literal is None
+    assert parse.literals == b"AB"  # one byte short: none for the final phrase
 
 
 def test_sentinel_is_ordinary():
@@ -79,9 +77,8 @@ def test_empty_text_rejected():
 
 def test_leftmost_source_preferred():
     parse = lz77_parse(b"ABXABYAB")
-    last = parse.phrases[-1]
-    assert last.match_len == 2
-    assert last.source == 0
+    assert parse.match_lens[-1] == 2
+    assert parse.sources[-1] == 0
 
 
 def _adversarial_texts(rng):
@@ -127,45 +124,53 @@ def test_greedy_maximality_on_random_strings():
         alphabet = b"ACGT"[: rng.randint(1, 3)]
         text = bytes(rng.choice(alphabet) for _ in range(rng.randint(1, 128)))
         parse = lz77_parse(text)
-        for phrase in parse.phrases:
-            assert phrase.match_len == reference_longest_match(text, phrase.start)
-            if phrase.source is not None:
-                assert phrase.source < phrase.start
-                src = bytes(
-                    text[phrase.source + k] for k in range(phrase.match_len)
-                )
-                assert src == text[phrase.start : phrase.start + phrase.match_len]
+        for start, length, source in zip(parse.boundary_positions, parse.match_lens, parse.sources):
+            assert length == reference_longest_match(text, start)
+            if source >= 0:
+                assert source < start
+                src = bytes(text[source + k] for k in range(length))
+                assert src == text[start : start + length]
                 # leftmost: no earlier position holds the copied bytes
                 assert all(
-                    bytes(text[j + k] for k in range(phrase.match_len)) != src
-                    for j in range(phrase.source)
+                    bytes(text[j + k] for k in range(length)) != src
+                    for j in range(source)
                 )
+
+
+def _assert_tiles(parse, text):
+    """Each phrase starts where the one before ends (its match plus its
+    literal, if any), the last one ends the text, and the columns agree."""
+    assert len(parse.match_lens) == len(parse.sources) == parse.z
+    assert len(parse.literals) in (parse.z - 1, parse.z)
+    pos = 0
+    for p, length in enumerate(parse.match_lens):
+        assert parse.boundary_positions[p] == pos
+        pos += length + (p < len(parse.literals))
+    assert parse.boundary_positions[parse.z :] == (pos,) == (len(text),)
 
 
 def test_phrase_lengths_tile_the_text():
     rng = random.Random(9)
     for _ in range(50):
         text = bytes(rng.choice(b"AC") for _ in range(rng.randint(1, 200)))
-        parse = lz77_parse(text)
-        pos = 0
-        for phrase in parse.phrases:
-            assert phrase.start == pos
-            pos += phrase.length
-        assert pos == len(text)
+        _assert_tiles(lz77_parse(text), text)
 
 
 def _assert_leftmost_maximal(parse, text):
     """Check every phrase with ``bytes.find``, independently of the parser's loop."""
     n = len(text)
-    for phrase in parse.phrases:
-        s, length = phrase.start, phrase.match_len
+    for p, (s, length, source) in enumerate(
+        zip(parse.boundary_positions, parse.match_lens, parse.sources)
+    ):
         if length:
-            assert text.find(text[s : s + length], 0, s + length - 1) == phrase.source
+            assert text.find(text[s : s + length], 0, s + length - 1) == source
         else:
-            assert phrase.source is None
+            assert source == -1
         if s + length < n:
             assert text.find(text[s : s + length + 1], 0, s + length) < 0
-            assert phrase.literal == text[s + length]
+            assert parse.literals[p] == text[s + length]
+        else:  # only a final phrase lacks its literal
+            assert p == len(parse.literals) == parse.z - 1
 
 
 def test_leftmost_maximal_phrases_on_a_40kb_pangenome():
@@ -181,7 +186,7 @@ def test_leftmost_maximal_phrases_on_a_40kb_pangenome():
     text = b"$".join(copies)
     parse = lz77_parse(text)
     assert reconstruct(parse) == text
-    assert max(p.match_len for p in parse.phrases) > 128  # several 64-byte steps
+    assert max(parse.match_lens) > 128  # several 64-byte steps
     _assert_leftmost_maximal(parse, text)
 
 
@@ -204,7 +209,9 @@ def _planted(rng, block, source_residues, start_residue):
 
 
 def _phrase_at(parse, start):
-    return next(p for p in parse.phrases if p.start == start)
+    """(match length, source, literal) of the phrase at ``start``."""
+    p = parse.boundary_positions.index(start)
+    return parse.match_lens[p], parse.sources[p], parse.literals[p]
 
 
 @pytest.mark.parametrize("length", [14, 15, 16])  # EXACT - 1, EXACT, EXACT + 1
@@ -225,9 +232,7 @@ def test_planted_match_at_every_residue(length):
                 assert [s % STEP for s in sources] == list(residues)
                 assert start % STEP == start_residue
                 parse = lz77_parse(text)
-                phrase = _phrase_at(parse, start)
-                assert (phrase.match_len, phrase.source) == (length, sources[0]), residues
-                assert phrase.literal == ord("?")
+                assert _phrase_at(parse, start) == (length, sources[0], ord("?")), residues
                 _assert_leftmost_maximal(parse, text)
 
 
@@ -247,8 +252,7 @@ def test_overlapping_source_fewer_than_step_bytes_back():
             text = bytes(text + b"A" * 40 + b"?")
             assert run % STEP == residue
             parse = lz77_parse(text)
-            phrase = _phrase_at(parse, run + t)
-            assert (phrase.match_len, phrase.source) == (40 - t, run), (t, residue)
+            assert _phrase_at(parse, run + t)[:2] == (40 - t, run), (t, residue)
             _assert_leftmost_maximal(parse, text)
 
 
@@ -274,9 +278,9 @@ def test_fallback_past_the_cap_on_unary_and_periodic_texts():
         assert reconstruct(parse) == text
         _assert_leftmost_maximal(parse, text)
         assert any(
-            _most_proposals(text, p.start) > CAP
-            for p in parse.phrases
-            if len(text) - p.start >= EXACT
+            _most_proposals(text, start) > CAP
+            for start in parse.boundary_positions[:-1]
+            if len(text) - start >= EXACT
         ), unit
 
 
@@ -307,11 +311,6 @@ def _repeated_dna_blocks(draw):
 )
 def test_parse_properties(text):
     parse = lz77_parse(text)
-    pos = 0
-    for phrase in parse.phrases:
-        assert phrase.start == pos
-        pos += phrase.length
-    assert pos == len(text)
-    assert parse.boundary_positions == (*(p.start for p in parse.phrases), len(text))
+    _assert_tiles(parse, text)
     assert reconstruct(parse) == text
     _assert_leftmost_maximal(parse, text)

@@ -143,6 +143,13 @@ def test_parse_fasta_basic():
     assert records[1].sequence == b"TT"
 
 
+@pytest.mark.parametrize("byte", [0xDF, 0xFF], ids=["0xDF", "0xFF"])
+def test_parse_fasta_uppercases_a_to_z_only(byte):
+    # As text, 0xDF (ß) uppercases to "SS" and 0xFF (ÿ) to U+0178.
+    records = parse_fasta(f">g1\nac{chr(byte)}gt\n")
+    assert records[0].sequence == b"AC" + bytes([byte]) + b"GT"
+
+
 @pytest.mark.parametrize(
     "bad",
     [

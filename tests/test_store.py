@@ -118,7 +118,8 @@ def test_decoded_text_and_parses_equal_the_built_ones(make, trials, tmp_path):
         assert loaded.forward.parse == index.forward.parse
         assert loaded.reverse.parse == index.reverse.parse
         if make is _unary:
-            assert [p.match_len for p in loaded.forward.parse.phrases] == [0, 4999]
+            assert loaded.forward.parse.match_lens == (0, 4999)
+            assert loaded.forward.parse.sources == (-1, 0)
         for _ in range(6):
             pattern = random_pattern(rng, genomes, max_len=40)
             k = rng.randint(1, len(pattern))

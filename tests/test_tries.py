@@ -5,7 +5,7 @@ from bisect import bisect_left
 import pytest
 
 from helpers import prefix_intervals, reference_trie, string_at, trie_shape
-from phylokmer.tries import build_trie, prefix_access
+from phylokmer.tries import build_trie
 
 PREFIX_STRINGS = [b"", b"AGAT", b"AT", b"ATACAT", b"ATTACAT", b"CAT", b"TACAT", b"TTACAT"]
 REV_SUFFIX_STRINGS = [b"A", b"AT", b"ATA", b"ATAGATTAG", b"C", b"G", b"GA", b"T", b"TTAG"]
@@ -138,8 +138,8 @@ def test_verified_descents_match_brute_force():
 
 
 def test_text_access_extraction_matches_inline_storage():
-    # Same strings, but representatives extracted through an access callback
-    # into a shared blob instead of stored copies.
+    # Same strings, but stored as (start, length) refs into a shared blob
+    # instead of joined copies, so verification reads them from the blob.
     rng = random.Random(23)
     for _ in range(40):
         blob = bytes(rng.choice(b"ACGT") for _ in range(rng.randint(10, 80)))
@@ -154,18 +154,14 @@ def test_text_access_extraction_matches_inline_storage():
                 refs.append((start, end))
         order = sorted(range(len(refs)), key=lambda i: blob[refs[i][0] : refs[i][1]])
         strings = [blob[refs[i][0] : refs[i][1]] for i in order]
-        spans = [refs[i] for i in order]
-
-        def access(rank0, start, stop):
-            lo, hi = spans[rank0]
-            return blob[lo + start : lo + stop]
+        spans = [(refs[i][0], refs[i][1] - refs[i][0]) for i in order]
 
         plain = build_trie(strings)
-        via_access = build_trie(strings, text_access=access)
+        via_refs = build_trie(text=blob, refs=spans)
         for _ in range(25):
             probe = bytes(rng.choice(b"ACGT") for _ in range(rng.randint(0, 8)))
             a = descend_verified(plain, probe)
-            b = descend_verified(via_access, probe)
+            b = descend_verified(via_refs, probe)
             if a is None:
                 assert b is None
             else:
@@ -241,7 +237,7 @@ def test_prefix_intervals_through_reversed_text_refs():
         order = sorted(range(len(suffixes)), key=lambda r: suffixes[r][::-1])
         reversed_strings = [suffixes[r][::-1] for r in order]
         refs = [where[suffixes[r]] for r in order]
-        via_text = build_trie(reversed_strings, prefix_access(text[::-1], refs))
+        via_text = build_trie(text=text[::-1], refs=refs)
         plain = build_trie(reversed_strings)
         for _ in range(15):
             end = rng.randint(0, len(text))
@@ -304,7 +300,7 @@ def test_descend_matches_descend_and_verify_with_both_extractors():
         refs = [where[suffixes[r]] for r in order]
         tries = (
             build_trie(reversed_strings),
-            build_trie(reversed_strings, prefix_access(text[::-1], refs)),
+            build_trie(text=text[::-1], refs=refs),
         )
         for _ in range(10):
             if reversed_strings and rng.random() < 0.7:
