@@ -19,24 +19,55 @@ from the end, or an offset proposing more than ``CAP`` sources (unary and
 periodic texts) falls back to extend and retry: ``bytes.find`` looks for the
 match plus one byte among the positions before the phrase, and each hit is
 extended by direct comparison, so only the last find misses, and it scans
-the whole window.
+the window from where it starts.
 
-Cost: the index takes O(n) time and n / ``STEP`` entries for n bytes; a
-phrase has at most ``STEP * CAP`` proposed sources, each compared with the
-best match so far and, if it holds one more byte, extended by
-``common_prefix``, both linear in the phrase's match length.  A phrase the
-fallback decides still costs one full-window miss, so the worst case stays
+Short matches come from a second index, also local to the call: the
+``q``-grams at every position below a frontier ``F``, each with its
+ascending positions.  A fallback phrase whose ``q``-gram is listed takes
+the longest, leftmost match among the listed sources, and extend and retry
+goes on from that match with its finds starting at ``F``, not at 0.  That
+is exact: every source below ``F`` of a match of ``q`` bytes or more holds
+the gram, so it is listed, and the finds see every source from ``F`` on.
+A gram not listed, or listed more often than the lookup is worth, takes
+the finds from 0, so matches shorter than ``q`` are found as before.
+
+The frontier moves by ski rental.  The finds' bytes scanned past ``F`` are
+counted for the phrases that a longer index would serve: those whose match
+holds ``q`` bytes or more (``SHORT`` before ``q`` is picked) and whose
+lookup was worth it.  Once the count exceeds ``RENT`` times the positions
+from ``F`` to the phrase start ``i``, those positions are listed and
+``F = i``.  ``RENT`` is about what listing a position, or comparing a
+listed source, costs in bytes of a ``bytes.find`` scan.  So a text with few
+short phrases of ``q`` bytes or more (mostly long matches, unary and
+periodic texts, random bytes) never pays for the index, and any other pays
+about what its scans have cost at most.  ``q`` is picked once, when the
+frontier first moves, as ``round(log_sigma(n)) - 3`` but at least
+``SHORT``, with ``sigma`` the distinct bytes seen so far.  On random text
+most short matches then hold ``q`` bytes or more, while a gram is listed
+about ``F / sigma ** q`` times.
+
+Cost: the sampled index takes O(n) time and n / ``STEP`` entries for n
+bytes; a phrase has at most ``STEP * CAP`` proposed sources, each compared
+with the best match so far and, if it holds one more byte, extended by
+``common_prefix``, both linear in the phrase's match length.  The short-gram
+index holds at most one entry per position below ``F``, and costs at most
+about what the scans charged to it cost.  A phrase served by it scans only
+``text[F : i + L]`` and compares fewer than ``F / RENT`` listed sources; any
+other fallback phrase still scans its whole window, so the worst case stays
 O(n·z) byte comparisons for z phrases, as for extend and retry alone.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import log
 
 GRAM = 12  # length of the sampled grams that propose sources
 STEP = 4  # a gram is sampled at every STEP-th position
 EXACT = GRAM + STEP - 1  # a match this long always holds a sampled gram
 CAP = 32  # more proposed sources than this for one offset: fall back
+SHORT = 4  # shortest short gram
+RENT = 128  # bytes of find scan that listing or comparing one position costs
 
 
 @dataclass(frozen=True)
@@ -106,6 +137,14 @@ def lz77_parse(text: bytes) -> Lz77Parse:
     is the leftmost occurrence of the longest match.  Hits scan the window
     only up to themselves, so each phrase scans its whole window once, at
     the miss.
+
+    Short-gram step, for a fallback phrase once positions below the frontier
+    ``F`` are listed by their ``q``-grams: if ``text[i : i + q]`` is listed
+    fewer than ``F / RENT`` times, every listed source is compared by the
+    same "best plus one byte" rule, leftmost first, and extend and retry
+    starts from the best with ``start = F``.  Otherwise it starts from
+    nothing at ``start = 0``.  See the module docstring for the frontier
+    rule and the choice of ``q``.
     """
     if not text:
         raise ValueError("cannot factor empty text")
@@ -118,6 +157,8 @@ def lz77_parse(text: bytes) -> Lz77Parse:
             grams[gram].append(p)
         else:
             grams[gram] = [p]
+    short: dict[bytes, list[int]] = {}  # q-gram -> its positions below frontier
+    q = frontier = rent = 0
     match_lens: list[int] = []
     sources: list[int] = []
     literals = bytearray()
@@ -152,7 +193,32 @@ def lz77_parse(text: bytes) -> Lz77Parse:
                     elif j < source and text[j : j + match_len] == same:
                         source = j
         if match_len < EXACT:
+            if rent > RENT * (i - frontier):
+                if not q:
+                    # Every byte value's first occurrence is a literal.
+                    q = max(SHORT, round(log(n, max(2, len(set(literals))))) - 3)
+                for p in range(frontier, min(i, n - q + 1)):
+                    gram = text[p : p + q]
+                    if gram in short:
+                        short[gram].append(p)
+                    else:
+                        short[gram] = [p]
+                frontier, rent = i, 0
             match_len, source, start = 0, -1, 0
+            listed = short.get(text[i : i + q]) if frontier else None
+            worth = listed is None or len(listed) * RENT < frontier
+            if listed is not None and worth:
+                # Every listed source holds the q-gram; ascending order and
+                # the "best plus one byte" rule keep the leftmost of ties.
+                match_len, longer, start = q - 1, text[i : i + q], frontier
+                for j in listed:
+                    if text[j : j + match_len + 1] == longer:
+                        match_len += 1
+                        match_len += common_prefix(
+                            text, j + match_len, i + match_len, n - i - match_len
+                        )
+                        source = j
+                        longer = text[i : i + match_len + 1]
             while i + match_len < n:
                 j = find(text[i : i + match_len + 1], start, i + match_len)
                 if j < 0:
@@ -160,6 +226,8 @@ def lz77_parse(text: bytes) -> Lz77Parse:
                 source, start = j, j + 1
                 match_len += 1
                 match_len += common_prefix(text, j + match_len, i + match_len, n - i - match_len)
+            if match_len >= (q or SHORT) and worth:
+                rent += i + match_len - frontier
         match_lens.append(match_len)
         sources.append(source)
         end = i + match_len

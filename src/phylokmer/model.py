@@ -257,9 +257,12 @@ def parse_fasta(source: str | IO[str], sentinel: bytes | int = DEFAULT_SENTINEL)
     """Parse FASTA records: multi-record, wrapped lines, sequences with a-z
     uppercased and every other byte kept.
 
+    The input is latin-1 text, one character per byte, and is split as
+    bytes: only ASCII line breaks end a line and only ASCII whitespace is
+    dropped, so bytes such as 0x1C and 0x85 stay in a sequence.
     Record names are the first whitespace-delimited token of the header.
-    Errors: empty input, duplicate or missing names, empty sequences, and
-    sequences containing the sentinel byte.
+    Errors: a character outside latin-1, empty input, duplicate or missing
+    names, empty sequences, and sequences containing the sentinel byte.
     """
     sval = _sentinel_value(sentinel)
     records: list[GenomeRecord] = []
@@ -281,22 +284,29 @@ def parse_fasta(source: str | IO[str], sentinel: bytes | int = DEFAULT_SENTINEL)
         seen.add(name)
         records.append(GenomeRecord(name, seq))
 
+    text = _read_text(source)
+    try:
+        data = text.encode("latin-1")
+    except UnicodeEncodeError as exc:
+        # The prefix encodes; one more character counts the line it starts.
+        line = len((text[: exc.start] + ".").encode("latin-1").splitlines())
+        raise FastaError(f"{text[exc.start]!r} on line {line} is not a latin-1 character") from None
     line_no = 0
-    for line_no, line in enumerate(_read_text(source).splitlines(), start=1):
-        if line.startswith(">"):
+    for line_no, line in enumerate(data.splitlines(), start=1):
+        if line.startswith(b">"):
             flush(line_no)
-            header = line[1:].strip()
+            header = line[1:].split()
             if not header:
                 raise FastaError(f"empty record name on line {line_no}")
-            name = header.split()[0]
+            name = header[0].decode("latin-1")
             name_line = line_no
             chunks = []
         else:
-            stripped = "".join(line.split())
+            stripped = b"".join(line.split())
             if stripped and name is None:
                 raise FastaError(f"sequence data before any header on line {line_no}")
             if stripped:
-                chunks.append(stripped.encode("latin-1").upper())
+                chunks.append(stripped.upper())
     flush(line_no + 1)
     if not records:
         raise FastaError("no FASTA records found")

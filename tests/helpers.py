@@ -2,8 +2,11 @@
 implementations, and random data generators."""
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from bisect import bisect_left
+from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from phylokmer.engine import HEAD_CAP, KmerIndex, QueryStats, SideIndex
@@ -30,6 +33,16 @@ def fixture_tree() -> PhyloTree:
 def fixture_genomes() -> list[GenomeRecord]:
     # Genome sequences equal their names in this fixture.
     return [GenomeRecord(name, name.encode()) for name in FIXTURE_NAMES]
+
+
+def benchmark_generator():
+    """The benchmark's seeded pangenome and read generator, ``perfbench/synth.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "synth.py"
+    spec = importlib.util.spec_from_file_location("perfbench_synth", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 def reference_longest_match(text: bytes, i: int) -> int:

@@ -1,12 +1,9 @@
 """End-to-end index behavior: side queries, classification, descent budget."""
 import dataclasses
-import importlib.util
 import itertools
 import math
 import random
-import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     all_cuts_best,
+    benchmark_generator,
     fixture_genomes,
     fixture_tree,
     kmer_occurrences,
@@ -182,7 +180,7 @@ def test_split_loop_never_tiles_the_grid(monkeypatch):
         raise AssertionError(f"tiled [{x1}, {x2}]")
 
     monkeypatch.setattr(ContextGrid, "_tile", tile)
-    synth = _benchmark_generator()
+    synth = benchmark_generator()
     rng = random.Random("one node per split")
     pangenome = synth.make_pangenome(rng, genomes=6, length=400)
     reads = synth.make_reads(rng, pangenome, 8, 150, error_rate=0.02, novel_share=0.25)
@@ -375,19 +373,9 @@ def test_kmer_only_in_leftmost_or_rightmost_genome():
         _assert_matches_reference(tree, genomes, pattern, range(1, len(pattern) + 1))
 
 
-def _benchmark_generator():
-    """The benchmark's seeded pangenome and read generator, ``perfbench/synth.py``."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "synth.py"
-    spec = importlib.util.spec_from_file_location("perfbench_synth", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_realistic_pangenome_matches_reference_after_save_and_load(tmp_path):
     # A 100 kB pangenome from the benchmark's generator, 9 of 30 reads novel.
-    synth = _benchmark_generator()
+    synth = benchmark_generator()
     rng = random.Random("differential:1")
     pangenome = synth.make_pangenome(rng, genomes=8, length=12_500)
     reads = synth.make_reads(rng, pangenome, 30, 150, error_rate=0.01, novel_share=0.3)
@@ -419,7 +407,7 @@ def test_large_pangenome_load_memory_and_whole_genome_queries(tmp_path):
     # Whole-genome queries add head tables of at most HEAD_CAP bytes a
     # head: uncapped heads would copy 8 kB per prefix here, about twice
     # the index.
-    synth = _benchmark_generator()
+    synth = benchmark_generator()
     rng = random.Random("scale:1")
     pangenome = synth.make_pangenome(rng, genomes=8, length=25_000)
     reads = synth.make_reads(rng, pangenome, 4, 150, error_rate=0.01, novel_share=0.25)
@@ -453,7 +441,7 @@ def test_400kb_pangenome_matches_reference_after_save_and_load(tmp_path):
     # from LZ77's sampled gram index, the first genome's short phrases from
     # its fallback.  Reads at k = 31, a quarter of them novel, and
     # whole-genome k on three genomes and a mutated one.
-    synth = _benchmark_generator()
+    synth = benchmark_generator()
     rng = random.Random("lz77-scale:1")
     pangenome = synth.make_pangenome(rng, genomes=16, length=25_000)
     reads = synth.make_reads(rng, pangenome, 12, 150, error_rate=0.01, novel_share=0.25)

@@ -1,5 +1,6 @@
 """Greedy self-referential factorization against a quadratic reference."""
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -7,12 +8,14 @@ from hypothesis import strategies as st
 
 from helpers import (
     FIXTURE_TEXT,
+    benchmark_generator,
     phrase_texts,
     random_dna,
     reconstruct,
     reference_longest_match,
     reference_lz77_boundaries,
 )
+from phylokmer import lz77
 from phylokmer.lz77 import CAP, EXACT, GRAM, STEP, lz77_parse
 
 FIXTURE_PHRASES = [
@@ -113,7 +116,7 @@ def test_matches_reference_on_random_strings():
         texts.append(bytes(rng.choice(alphabet) for _ in range(length)))
     texts.extend(_adversarial_texts(rng))
     for text in texts:
-        parse = lz77_parse(text)
+        parse = _parses(text)
         assert list(parse.boundary_positions) == reference_lz77_boundaries(text)
         assert reconstruct(parse) == text
 
@@ -123,7 +126,7 @@ def test_greedy_maximality_on_random_strings():
     for _ in range(100):
         alphabet = b"ACGT"[: rng.randint(1, 3)]
         text = bytes(rng.choice(alphabet) for _ in range(rng.randint(1, 128)))
-        parse = lz77_parse(text)
+        parse = _parses(text)
         for start, length, source in zip(parse.boundary_positions, parse.match_lens, parse.sources):
             assert length == reference_longest_match(text, start)
             if source >= 0:
@@ -173,6 +176,21 @@ def _assert_leftmost_maximal(parse, text):
             assert p == len(parse.literals) == parse.z - 1
 
 
+def _parses(text):
+    """The parse of ``text``, checked equal to its parse with ``RENT = 0``.
+
+    With ``RENT = 0`` the short-gram frontier moves at every fallback phrase
+    after one whose scan was charged, and every listed gram is worth a
+    lookup, so small texts reach the short-gram lookup and the finds that
+    start at the frontier.
+    """
+    with patch.object(lz77, "RENT", 0):
+        eager = lz77_parse(text)
+    parse = lz77_parse(text)
+    assert parse == eager
+    return parse
+
+
 def test_leftmost_maximal_phrases_on_a_40kb_pangenome():
     # 8 copies of a 5 kB genome, 1% substitutions each, joined by sentinels.
     rng = random.Random(10)
@@ -184,10 +202,25 @@ def test_leftmost_maximal_phrases_on_a_40kb_pangenome():
             copy[rng.randrange(len(copy))] = rng.choice(b"ACGT")
         copies.append(bytes(copy))
     text = b"$".join(copies)
-    parse = lz77_parse(text)
+    parse = _parses(text)
     assert reconstruct(parse) == text
     assert max(parse.match_lens) > 128  # several 64-byte steps
     _assert_leftmost_maximal(parse, text)
+
+
+@pytest.mark.slow
+def test_leftmost_maximal_phrases_on_a_200kb_pangenome():
+    # The benchmark's generator, 8 genomes of 25 kB: the first genome is
+    # random DNA, whose phrases are short, so the short-gram frontier moves
+    # through it; the others are mostly long copies.  Both orientations.
+    synth = benchmark_generator()
+    pangenome = synth.make_pangenome(random.Random("lz77:200kb"), genomes=8, length=25_000)
+    text = b"$".join(seq for _, seq in pangenome.genomes)
+    assert len(text) >= 200_000 and len(pangenome.genomes[0][1]) >= 25_000
+    for side in (text, text[::-1]):
+        parse = lz77_parse(side)
+        assert reconstruct(parse) == side
+        _assert_leftmost_maximal(parse, side)
 
 
 def _planted(rng, block, source_residues, start_residue):
@@ -231,7 +264,7 @@ def test_planted_match_at_every_residue(length):
                 text, sources, start = _planted(rng, block, residues, start_residue)
                 assert [s % STEP for s in sources] == list(residues)
                 assert start % STEP == start_residue
-                parse = lz77_parse(text)
+                parse = _parses(text)
                 assert _phrase_at(parse, start) == (length, sources[0], ord("?")), residues
                 _assert_leftmost_maximal(parse, text)
 
@@ -251,9 +284,86 @@ def test_overlapping_source_fewer_than_step_bytes_back():
             run = len(text)
             text = bytes(text + b"A" * 40 + b"?")
             assert run % STEP == residue
-            parse = lz77_parse(text)
+            parse = _parses(text)
             assert _phrase_at(parse, run + t)[:2] == (40 - t, run), (t, residue)
             _assert_leftmost_maximal(parse, text)
+
+
+class _FindWindows(bytes):
+    """A text that records the ``(start, end)`` window of every ``find`` on it."""
+
+    def find(self, sub, start, end):
+        self.windows.append((start, end))
+        return bytes.find(self, sub, start, end)
+
+
+def _behind_a_frontier(head, block, filler, tail):
+    """``head``, ``block`` at ``len(head)``, ``!``, ``filler``, ``#``, then
+    ``head[:6]``, ``%``, ``&``, a copy of ``block``, ``G`` and ``tail``, where
+    ``#%&`` are new to the text.  With ``RENT = 0`` the 6-byte phrase is
+    charged, so the frontier moves to the phrase ``&``, which is charged
+    nothing; the block's copy is found by the sampled step, so the phrase at
+    ``tail`` is looked up with the frontier at ``&``.
+    Returns (text, frontier, tail's start).
+    """
+    text = head + block + b"!" + filler + b"#" + head[:6] + b"%"
+    frontier = len(text)
+    text += b"&" + block + b"G"
+    return _FindWindows(text + tail), frontier, len(text)
+
+
+@pytest.mark.parametrize("case", ["runs past F", "longer at F or later", "tie"])
+def test_short_gram_lookup_behind_the_frontier(case):
+    # The block's bytes are distinct lowercase letters, so each of its grams
+    # occurs only where the block is copied.
+    for seed in range(5):
+        rng = random.Random(f"frontier:{case}:{seed}")
+        head = random_dna(rng, 24)
+        block = bytes(rng.sample(b"abcdefghijklmnopqrstuvwxyz", 20))
+        source = len(head)
+        if case == "runs past F":
+            # From the listed head[2:6] just before % and & into the block's
+            # copy: the source lies below the frontier, its match past it.
+            tail = head[2:6] + b"%&" + block[:3] + b"?"
+        elif case == "longer at F or later":
+            # The listed source holds block[-5:] then !; the block's copy
+            # after & holds one byte more, G.
+            tail = block[-5:] + b"G?"
+        else:
+            # block[-6:] is held by the listed source and by the copy after
+            # &; the listed one lies further left and must win.
+            tail = block[-6:] + b"?"
+        text, frontier, start = _behind_a_frontier(head, block, random_dna(rng, 8), tail)
+        length, expected_source, listed = {
+            "runs past F": (9, frontier - 5, 9),
+            "longer at F or later": (6, frontier + 16, 5),
+            "tie": (6, source + 14, 6),
+        }[case]
+        text.windows = []
+        with patch.object(lz77, "RENT", 0):
+            parse = lz77_parse(text)
+        assert _phrase_at(parse, start) == (length, expected_source, ord("?")), seed
+        # The tail's finds start at the frontier, past its best listed match.
+        assert (frontier, start + listed) in text.windows, seed
+        _assert_leftmost_maximal(parse, bytes(text))
+        assert parse == _parses(bytes(text))
+
+
+def test_short_gram_listed_too_often_falls_back_to_the_whole_window():
+    # A run of 60 A's, then AAAAA and a new byte, six times.  With RENT = 2
+    # three charged phrases move the frontier to the fourth, at 79, where
+    # AAAA is listed 63 times: 63 * RENT >= 79, so the lookup is not worth
+    # it, and the finds start at 0.
+    text = _FindWindows(b"A" * 60 + b"C" + b"".join(b"AAAAA" + bytes([c]) for c in b"BDEFHI"))
+    text.windows = []
+    with patch.object(lz77, "RENT", 2):
+        parse = lz77_parse(text)
+    starts = parse.boundary_positions[:-1]
+    assert starts[:3] == (0, 1, 61) and len(starts) == 8
+    for i in starts[5:]:
+        assert (0, i) in text.windows and _phrase_at(parse, i)[:2] == (5, 0)
+    _assert_leftmost_maximal(parse, bytes(text))
+    assert parse == _parses(bytes(text))
 
 
 def _most_proposals(text, i):
@@ -274,7 +384,7 @@ def test_fallback_past_the_cap_on_unary_and_periodic_texts():
         for _ in range(8):
             text[rng.randrange(len(text))] = ord("T")
         text = bytes(text)
-        parse = lz77_parse(text)
+        parse = _parses(text)
         assert reconstruct(parse) == text
         _assert_leftmost_maximal(parse, text)
         assert any(
@@ -310,7 +420,7 @@ def _repeated_dna_blocks(draw):
     )
 )
 def test_parse_properties(text):
-    parse = lz77_parse(text)
+    parse = _parses(text)
     _assert_tiles(parse, text)
     assert reconstruct(parse) == text
     _assert_leftmost_maximal(parse, text)

@@ -143,9 +143,13 @@ def test_parse_fasta_basic():
     assert records[1].sequence == b"TT"
 
 
-@pytest.mark.parametrize("byte", [0xDF, 0xFF], ids=["0xDF", "0xFF"])
+@pytest.mark.parametrize(
+    "byte", [0xDF, 0xFF, 0x1C, 0x1D, 0x1E, 0x85, 0xA0], ids=lambda b: f"0x{b:02X}"
+)
 def test_parse_fasta_uppercases_a_to_z_only(byte):
-    # As text, 0xDF (ß) uppercases to "SS" and 0xFF (ÿ) to U+0178.
+    # As text, 0xDF (ß) uppercases to "SS" and 0xFF (ÿ) to U+0178;
+    # str.splitlines() ends a line at 0x1C-0x1E and 0x85, and str.split()
+    # drops 0x85 and 0xA0 as whitespace.
     records = parse_fasta(f">g1\nac{chr(byte)}gt\n")
     assert records[0].sequence == b"AC" + bytes([byte]) + b"GT"
 
@@ -159,6 +163,7 @@ def test_parse_fasta_uppercases_a_to_z_only(byte):
         ">g1\nACGT\n>g1\nTT\n",
         ">g1\nAC$GT\n",
         ">\nACGT\n",
+        ">g1\nAC\u2192GT\n",
     ],
 )
 def test_parse_fasta_errors(bad):

@@ -1,5 +1,6 @@
 """Index serialization: round-trips and format validation."""
 import dataclasses
+import hashlib
 import os
 import random
 import struct
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     FIXTURE_NAMES,
+    benchmark_generator,
     random_instance,
     random_pattern,
     reconstruct,
@@ -23,6 +25,7 @@ from phylokmer import (
     classify,
     load_index,
     naive_classify,
+    parse_fasta,
     save_index,
 )
 from phylokmer.lz77 import lz77_parse
@@ -56,6 +59,29 @@ def test_fixture_round_trip(worked_index, tmp_path):
     assert loaded.tree == worked_index.tree
     for k in (1, 3, 6, 7):
         assert classify(loaded, b"TAGACA", k) == classify(worked_index, b"TAGACA", k)
+
+
+# Index files of the benchmark's workloads, seeds 1-3, at format v4: the
+# first 16 hex digits of their SHA-256.  (genomes, genome length) per
+# workload are those of perfbench/run.py.  A change to the parse, the
+# contexts or the file layout changes them.
+PINNED_INDEX_FILES = {
+    ("build", 6, 12_000): ("ca3a202ced9c2c8a", "468388c222cc1239", "be3be3a3429b2e90"),
+    ("reads_k31", 16, 2_500): ("303ab554e0fb45db", "a699926c2ac7b0b8", "7fb7a82c8d7b5682"),
+    ("reads_k63_novel", 48, 1_000): ("d98f35b75d4cc4f4", "a9ef1746d0bf8788", "2bcfa05670b9ad36"),
+}
+
+
+@pytest.mark.parametrize("workload", PINNED_INDEX_FILES, ids=lambda w: w[0])
+def test_benchmark_index_files_are_pinned(workload, tmp_path):
+    name, genomes, length = workload
+    synth = benchmark_generator()
+    for seed, expected in enumerate(PINNED_INDEX_FILES[workload], start=1):
+        pangenome = synth.make_pangenome(random.Random(f"{name}:{seed}"), genomes, length)
+        index = build_index(parse_newick(pangenome.newick), parse_fasta(pangenome.fasta()))
+        path = tmp_path / f"{name}-{seed}.pkm"
+        save_index(index, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == expected, seed
 
 
 def test_random_round_trips(tmp_path):
