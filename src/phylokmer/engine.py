@@ -20,7 +20,9 @@ up to k - 1 bytes right of c, in the prefix trie) are each verified once
 and keep their verified length and node chain: a k-mer whose alpha or beta
 part is longer than that length does not split there, and one that does
 bisects the chains for its rank box.  The box's x-range is a suffix-trie
-node's, and the grid is laid on those nodes, so one grid node answers it.
+node's, and the grid is laid on those nodes: it scans the box's points
+when they are few and answers from that node's entry otherwise, never
+tiling.
 A k-mer closes once its label is the side's leftmost (rightmost) leaf, and
 the reverse side is not asked about a k-mer the forward side found nowhere.
 """
@@ -135,22 +137,25 @@ class QueryStats:
 
 def build_side(
     concatenation: Concatenation,
+    flipped: bytes,
     parse: lz77_mod.Lz77Parse,
     leaf_vertices: Sequence[int],
     is_reverse: bool,
 ) -> SideIndex:
     """Derive one side's contexts from its text and parse, then its tries and grid.
 
-    The one path for build and load.  ``leaf_vertices[ordinal - 1]`` maps
-    this text's genome ordinals to tree vertex numbers.  The grid is laid on
-    the suffix trie's node intervals, the x-ranges of every split's box.
+    The one path for build and load.  ``flipped`` is the text reversed, the
+    other side's text, so the two sides share two copies.
+    ``leaf_vertices[ordinal - 1]`` maps this text's genome ordinals to tree
+    vertex numbers.  The grid is laid on the suffix trie's node intervals,
+    the x-ranges of every split's box.
     """
     text = concatenation.text
     suffixes, prefixes, ctxs = contexts_mod.build_context_sets(concatenation, parse)
     aggregate = "max" if is_reverse else "min"
     points = contexts_mod.grid_points(ctxs, suffixes, prefixes, aggregate, leaf_vertices)
     # Co-lex order of the suffixes is lex order of the reversed text's refs.
-    suffix_trie = build_trie(text=text[::-1], refs=suffixes.refs)
+    suffix_trie = build_trie(text=flipped, refs=suffixes.refs)
     return SideIndex(
         text=text,
         parse=parse,
@@ -166,22 +171,21 @@ def build_side(
 def assemble_index(
     tree: PhyloTree,
     concatenation: Concatenation,
+    reversal: Concatenation,
     forward_parse: lz77_mod.Lz77Parse,
     reverse_parse: lz77_mod.Lz77Parse,
 ) -> KmerIndex:
-    """The index of a concatenation given the parses of its text and of the reversal.
+    """The index of a concatenation and its reversal, given the parses of
+    their texts.
 
-    Shared by ``build_index`` and by index loading.
+    Shared by ``build_index`` and by index loading.  The index keeps the two
+    texts and no other copy of them.
     """
+    text = concatenation.text
     return KmerIndex(
         tree=tree,
-        forward=build_side(concatenation, forward_parse, tree.leaves, is_reverse=False),
-        reverse=build_side(
-            reverse_concatenation(concatenation),
-            reverse_parse,
-            tuple(reversed(tree.leaves)),
-            is_reverse=True,
-        ),
+        forward=build_side(concatenation, reversal.text, forward_parse, tree.leaves, False),
+        reverse=build_side(reversal, text, reverse_parse, tuple(reversed(tree.leaves)), True),
         lca=build_lca(tree),
         sentinel=concatenation.sentinel,
     )
@@ -194,9 +198,13 @@ def build_index(
 ) -> KmerIndex:
     """Build the full two-sided index for a tree and its leaf genomes."""
     concat = build_concatenation(tree, genomes, sentinel)
-    text = concat.text
+    reversal = reverse_concatenation(concat)
     return assemble_index(
-        tree, concat, lz77_mod.lz77_parse(text), lz77_mod.lz77_parse(text[::-1])
+        tree,
+        concat,
+        reversal,
+        lz77_mod.lz77_parse(concat.text),
+        lz77_mod.lz77_parse(reversal.text),
     )
 
 

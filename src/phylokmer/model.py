@@ -374,18 +374,21 @@ def genome_of_position(concatenation: Concatenation, pos: int) -> int | None:
     return None
 
 
-def reverse_concatenation(concatenation: Concatenation) -> Concatenation:
+def reverse_concatenation(
+    concatenation: Concatenation, flipped: bytes | None = None
+) -> Concatenation:
     """Concatenation of the literally reversed text; spans mirror positionally.
 
     Genome ordinals of the result follow the reversed text left to right,
-    i.e. ordinal 1 is the original last genome.
+    i.e. ordinal 1 is the original last genome.  ``flipped``, if given, is
+    that reversed text, made already by the caller, and is kept as it is.
     """
     n = len(concatenation.text)
     spans = tuple(
         (n - end, n - start) for start, end in reversed(concatenation.genome_spans)
     )
     return Concatenation(
-        text=concatenation.text[::-1],
+        text=concatenation.text[::-1] if flipped is None else flipped,
         genome_spans=spans,
         sentinel=concatenation.sentinel,
     )

@@ -43,7 +43,13 @@ from .engine import KmerIndex, assemble_index
 from .grid import ContextGrid  # noqa: F401 -- perfbench/tracing.py wraps store.ContextGrid
 from .lca import build_lca  # noqa: F401 -- perfbench/tracing.py wraps store.build_lca
 from .lz77 import Lz77Parse
-from .model import GenomeRecord, PhyloTree, build_concatenation, tree_from_parents
+from .model import (
+    GenomeRecord,
+    PhyloTree,
+    build_concatenation,
+    reverse_concatenation,
+    tree_from_parents,
+)
 from .tries import build_trie  # noqa: F401 -- perfbench/tracing.py wraps store.build_trie
 
 MAGIC = b"PKMRIDX\x00"
@@ -181,13 +187,15 @@ def load_index(path) -> KmerIndex:
         tree = _read_tree(src)
         (n,) = struct.unpack("<I", src.take(4))
         text, forward = _read_parse(src, n)
-        _, reverse = _read_parse(src, n, text[::-1])
+        flipped = text[::-1]
+        _, reverse = _read_parse(src, n, flipped)
         _check(src.pos == src.end, "trailing bytes after index data")
         pieces = text.split(bytes([sentinel]))
         names = tree.leaf_labels()
         _check(len(pieces) == len(names), f"{len(pieces)} genomes for {len(names)} leaves")
         genomes = [GenomeRecord(name, seq) for name, seq in zip(names, pieces)]
         concat = build_concatenation(tree, genomes, sentinel)
+        reversal = reverse_concatenation(concat, flipped)
     except ValueError as exc:  # IndexFileError, bad UTF-8, or an empty or duplicate genome
         raise IndexFileError(f"{path}: {exc}") from None
-    return assemble_index(tree, concat, forward, reverse)
+    return assemble_index(tree, concat, reversal, forward, reverse)

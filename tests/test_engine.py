@@ -1,6 +1,5 @@
 """End-to-end index behavior: side queries, classification, descent budget."""
 import dataclasses
-import itertools
 import math
 import random
 import tracemalloc
@@ -30,7 +29,7 @@ from phylokmer import (
     side_query,
 )
 from phylokmer.engine import HEAD_CAP, QueryStats, _sweep
-from phylokmer.grid import ContextGrid
+from phylokmer.grid import BLOCK, ContextGrid
 from phylokmer.model import GenomeRecord, parse_newick
 
 
@@ -200,17 +199,21 @@ def test_split_loop_never_tiles_the_grid(monkeypatch):
 def test_grid_size_bound_on_nested_phrases():
     # Blocks of t A's, then one C: phrases nest, so suffix strings run long
     # and deep trie nodes pile up.  Below the root, a point sits under at
-    # most one trie node per byte of its suffix string, plus its one-x node;
-    # suffix strings are phrase-bounded, so level 0 holds at most
-    # points + text bytes.
+    # most one trie node per byte of its suffix string; suffix strings are
+    # phrase-bounded, so level 0, the nodes' labels, holds at most
+    # points + text bytes.  The tables above it are over minima of blocks
+    # of BLOCK labels, so they hold about a BLOCK-th of doubling tables.
     genome = b"".join(b"A" * t + b"C" for t in range(1, 121))
     index = build_index(parse_newick("G;"), [GenomeRecord("G", genome)])
     for side in (index.forward, index.reverse):
-        tables = [table for _, table in side.grid._nodes.values()]
+        nodes = side.grid._nodes.values()
         points = len(side.grid.points)
         bound = points + len(side.text)
-        assert sum(len(table[0]) for table in tables) <= bound
-        assert sum(map(len, itertools.chain(*tables))) <= bound * (1 + math.log2(points))
+        level0 = sum(len(labels) for _, labels, _ in nodes)
+        upper = sum(len(level) for _, _, table in nodes for level in table)
+        assert level0 <= bound
+        assert level0 + upper <= bound * (1 + math.log2(points))
+        assert upper <= level0 * (1 + math.log2(points)) / BLOCK, (upper, level0)
 
 
 def _assert_live_cuts_match_all_cuts(index, pattern, k):
@@ -405,8 +408,8 @@ def test_large_pangenome_load_memory_and_whole_genome_queries(tmp_path):
     # the boundary prefixes, which would cost the phrase count times the
     # genome length; the index it returns is what the heap should hold.
     # Whole-genome queries add head tables of at most HEAD_CAP bytes a
-    # head: uncapped heads would copy 8 kB per prefix here, about twice
-    # the index.
+    # head, plus a set entry and a bytes header: uncapped heads would copy
+    # 8 kB per prefix here, about twice the index.
     synth = benchmark_generator()
     rng = random.Random("scale:1")
     pangenome = synth.make_pangenome(rng, genomes=8, length=25_000)
@@ -430,8 +433,10 @@ def test_large_pangenome_load_memory_and_whole_genome_queries(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * kept, f"load peaked at {peak / 2**20:.1f} MB, kept {kept / 2**20:.1f} MB"
-    assert queried <= 1.125 * kept, (
-        f"queries grew the heap to {queried / 2**20:.1f} MB, from {kept / 2**20:.1f} MB"
+    heads = sum(len(table) for side in (index.forward, index.reverse)
+                for tables in side.heads.values() for table in tables)
+    assert queried - kept <= (HEAD_CAP + 64) * heads, (
+        f"queries grew the heap by {(queried - kept) / 2**20:.3f} MB for {heads} heads"
     )
 
 
@@ -450,6 +455,18 @@ def test_400kb_pangenome_matches_reference_after_save_and_load(tmp_path):
     assert sum(len(seq) for _, seq in pangenome.genomes) >= 400_000
     save_index(build_index(tree, genomes), tmp_path / "scale.pkm")
     index = load_index(tmp_path / "scale.pkm")
+    for side in (index.forward, index.reverse):
+        # Nodes only on runs of more than SMALL points, and tables over
+        # block minima: each side's grid keeps about 1 MB here.
+        points, intervals = side.grid.points, side.suffix_trie.intervals()
+        tracemalloc.start()
+        try:
+            grid = ContextGrid(points, side.grid.aggregator, intervals)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grid.points == points
+        assert kept <= 4 * 2**20, f"the grid keeps {kept / 2**20:.2f} MB"
     mutated = bytearray(genomes[9].sequence)
     mutated[100] = b"C"[0] if mutated[100] != b"C"[0] else b"G"[0]
     patterns = [(read, 31) for read in reads]

@@ -1,5 +1,6 @@
 """Range-aggregate grid against a numpy linear scan and a brute-force scan."""
 import random
+from bisect import bisect_left, bisect_right
 from unittest import mock
 
 import numpy as np
@@ -7,8 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phylokmer import grid as grid_mod
 from phylokmer.grid import ContextGrid
 from phylokmer.tries import build_trie
+
+# (SMALL, BLOCK): a node on every non-empty run with tables over single
+# labels or pairs, the shipped sizes, and no node at all, so that every
+# path of range_best and tiling is compared with the scan.
+SIZES = [(0, 1), (0, 2), (grid_mod.SMALL, grid_mod.BLOCK), (10**9, 16)]
+
+
+def grid_sizes(small, block):
+    """The grid module with SMALL and BLOCK set, for a with block."""
+    return mock.patch.multiple(grid_mod, SMALL=small, BLOCK=block)
 
 FIXTURE_POINTS = [
     (1, 8, 1),
@@ -115,16 +127,39 @@ def test_every_size_up_to_70_points():
     # Top-down halvings of the distinct xs, uneven where a size is not a
     # power of two: every x range.
     rng = random.Random(32)
-    for n in range(71):
-        points = [(x, rng.randint(1, 9), rng.randint(1, 30)) for x in range(1, n + 1)]
-        for aggregator, pick in (("min", min), ("max", max)):
-            grid = ContextGrid(points, aggregator)
-            for x1 in range(0, n + 2):
-                for x2 in range(x1, n + 2):
-                    y1 = rng.randint(0, 10)
-                    y2 = rng.randint(y1, 10)
-                    box = (x1, x2, y1, y2)
-                    assert grid.range_best(*box) == scan_best(points, box, pick), (n, box)
+    for small, block in SIZES:
+        with grid_sizes(small, block):
+            for n in range(71):
+                points = [(x, rng.randint(1, 9), rng.randint(1, 30)) for x in range(1, n + 1)]
+                for aggregator, pick in (("min", min), ("max", max)):
+                    grid = ContextGrid(points, aggregator)
+                    for x1 in range(0, n + 2):
+                        for x2 in range(x1, n + 2):
+                            y1 = rng.randint(0, 10)
+                            y2 = rng.randint(y1, 10)
+                            box = (x1, x2, y1, y2)
+                            got = grid.range_best(*box)
+                            assert got == scan_best(points, box, pick), (small, block, n, box)
+
+
+@pytest.mark.parametrize("aggregator, pick", [("min", min), ("max", max)])
+def test_partial_blocks_at_both_ends(aggregator, pick):
+    # Nodes of 100 and 50 points, ten per x, read through their tables:
+    # each box's y-range covers whole blocks and cuts a block at either end.
+    # The last box is tiled over such nodes.  The one winning label sits at
+    # every point in turn, inside the box and out.
+    cells = [(x, y) for x in range(1, 11) for y in range(1, 11)]
+    boxes = [(1, 10, 3, 7), (1, 10, 2, 9), (1, 5, 2, 8), (1, 7, 2, 9)]
+    for box in boxes[:3]:
+        ys = ContextGrid([(x, y, 5) for x, y in cells], aggregator)._nodes[box[:2]][0]
+        a, b = bisect_left(ys, box[2]), bisect_right(ys, box[3])
+        assert a % grid_mod.BLOCK and b % grid_mod.BLOCK and b - a > 2 * grid_mod.BLOCK, box
+    winner = 1 if aggregator == "min" else 99
+    for cell in cells:
+        points = [(x, y, winner if (x, y) == cell else 50) for x, y in cells]
+        grid = ContextGrid(points, aggregator)
+        for box in boxes:
+            assert grid.range_best(*box) == scan_best(points, box, pick), (cell, box)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -140,19 +175,23 @@ def test_every_size_up_to_70_points():
 def test_matches_brute_force_scan(points, aggregator, boxes):
     # Shared xs, shared ys and repeated labels; boxes may be empty, inverted
     # (x1 > x2 or y1 > y2) or overhang the rank space on either side.
-    grid = ContextGrid(points, aggregator)
     pick = min if aggregator == "min" else max
-    for box in boxes:
-        assert grid.range_best(*box) == scan_best(points, box, pick), box
+    for small, block in SIZES:
+        with grid_sizes(small, block):
+            grid = ContextGrid(points, aggregator)
+            for box in boxes:
+                assert grid.range_best(*box) == scan_best(points, box, pick), (small, block, box)
 
 
 def _check_trie_family(strings, points, boxes):
     """A grid laid on a trie's node intervals answers each node's x-range
-    with that node alone, and any box, tiled, like the scan."""
+    with its run or its node alone, and any box, tiled, like the scan.
+    Only runs of more than SMALL points get a node."""
     trie = build_trie(strings)
     intervals = trie.intervals()
     for aggregator, pick in (("min", min), ("max", max)):
         grid = ContextGrid(points, aggregator, intervals)
+        assert all(len(ys) > grid_mod.SMALL for ys, _, _ in grid._nodes.values())
         with mock.patch.object(ContextGrid, "_tile", side_effect=AssertionError("tiled")):
             for lo, hi in intervals:
                 for y1, y2 in ((1, 9), (2, 5), (4, 4), (6, 3)):
@@ -188,4 +227,6 @@ def test_trie_family_matches_brute_force_scan(data):
         for y in sorted(data.draw(st.sets(st.integers(1, 8), max_size=3))):
             points.append((rank, y, data.draw(st.integers(1, 40))))
     boxes = data.draw(st.lists(st.tuples(*[st.integers(-1, 17)] * 4), max_size=12))
-    _check_trie_family(strings, points, boxes)
+    for small, block in SIZES:
+        with grid_sizes(small, block):
+            _check_trie_family(strings, points, boxes)

@@ -84,6 +84,20 @@ def test_benchmark_index_files_are_pinned(workload, tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == expected, seed
 
 
+def test_sides_share_the_two_text_orientations(tmp_path):
+    # Each side's suffix trie reads the reversed text, which is the other
+    # side's text: built or loaded, an index keeps one copy of each
+    # orientation.
+    tree, genomes = random_instance(random.Random(62), max_genomes=5, max_genome_len=48)
+    built = build_index(tree, genomes)
+    save_index(built, tmp_path / "shared.idx")
+    for index in (built, load_index(tmp_path / "shared.idx")):
+        assert index.forward.suffix_trie.text is index.reverse.text
+        assert index.reverse.suffix_trie.text is index.forward.text
+        assert index.forward.prefix_trie.text is index.forward.text
+        assert index.reverse.prefix_trie.text is index.reverse.text
+
+
 def test_random_round_trips(tmp_path):
     rng = random.Random(61)
     for trial in range(15):
