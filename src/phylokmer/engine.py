@@ -181,11 +181,12 @@ def assemble_index(
     Shared by ``build_index`` and by index loading.  The index keeps the two
     texts and no other copy of them.
     """
-    text = concatenation.text
     return KmerIndex(
         tree=tree,
         forward=build_side(concatenation, reversal.text, forward_parse, tree.leaves, False),
-        reverse=build_side(reversal, text, reverse_parse, tuple(reversed(tree.leaves)), True),
+        reverse=build_side(
+            reversal, concatenation.text, reverse_parse, tuple(reversed(tree.leaves)), True
+        ),
         lca=build_lca(tree),
         sentinel=concatenation.sentinel,
     )

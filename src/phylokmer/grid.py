@@ -188,7 +188,7 @@ class ContextGrid:
                 ys, labels, table = node
                 a = bisect_left(ys, y1)
                 b = bisect_right(ys, y2)
-                if b - a == 1:  # most boxes of the split loop
+                if b - a == 1:  # most node boxes of the split loop select one label
                     return self._sign * labels[a]
                 best = _least(labels, table, a, b)
         return None if best is None else self._sign * best
