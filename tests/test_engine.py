@@ -408,8 +408,8 @@ def test_large_pangenome_load_memory_and_whole_genome_queries(tmp_path):
     # the boundary prefixes, which would cost the phrase count times the
     # genome length; the index it returns is what the heap should hold.
     # Whole-genome queries add head tables of at most HEAD_CAP bytes a
-    # head, plus a set entry and a bytes header: uncapped heads would copy
-    # 8 kB per prefix here, about twice the index.
+    # head, plus a set entry and a bytes header: uncapped heads would grow
+    # the heap by about 53 MB here, four times the index.
     synth = benchmark_generator()
     rng = random.Random("scale:1")
     pangenome = synth.make_pangenome(rng, genomes=8, length=25_000)
