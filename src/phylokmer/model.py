@@ -66,17 +66,25 @@ class PhyloTree:
 class Concatenation:
     """Genomes joined in leaf order by single sentinel bytes, no trailing sentinel.
 
-    ``genome_spans`` holds one half-open (start, end) interval per genome, in
-    the same order as the genomes appear in ``text``.
+    The text is the whole of it: the genomes are the runs between sentinels,
+    so their bounds are read off the text and cannot disagree with it.
     """
 
     text: bytes
-    genome_spans: tuple[tuple[int, int], ...]
     sentinel: int
 
     @property
+    def genome_spans(self) -> tuple[tuple[int, int], ...]:
+        """One half-open (start, end) interval per genome, in text order."""
+        spans, start = [], 0
+        while (end := self.text.find(self.sentinel, start)) >= 0:
+            spans.append((start, end))
+            start = end + 1
+        return (*spans, (start, len(self.text)))
+
+    @property
     def genome_count(self) -> int:
-        return len(self.genome_spans)
+        return self.text.count(self.sentinel) + 1
 
 
 def _sentinel_value(sentinel: bytes | int) -> int:
@@ -332,8 +340,6 @@ def build_concatenation(
 
     sep = bytes([sval])
     parts: list[bytes] = []
-    spans: list[tuple[int, int]] = []
-    offset = 0
     for v in tree.leaves:
         label = tree.labels[v] or ""
         rec = by_name.pop(label, None)
@@ -343,16 +349,12 @@ def build_concatenation(
             raise ValueError(f"genome {label!r} is empty")
         if sep in rec.sequence:
             raise ValueError(f"genome {label!r} contains the sentinel byte")
-        if parts:
-            offset += 1
         parts.append(rec.sequence)
-        spans.append((offset, offset + len(rec.sequence)))
-        offset += len(rec.sequence)
     if by_name:
         extras = ", ".join(sorted(by_name))
         raise ValueError(f"genomes with no matching leaf: {extras}")
 
-    return Concatenation(text=sep.join(parts), genome_spans=tuple(spans), sentinel=sval)
+    return Concatenation(sep.join(parts), sval)
 
 
 def genome_of_position(concatenation: Concatenation, pos: int) -> int | None:
@@ -364,31 +366,21 @@ def genome_of_position(concatenation: Concatenation, pos: int) -> int | None:
     text_len = len(concatenation.text)
     if not 0 <= pos <= text_len:
         raise ValueError(f"position {pos} out of range 0..{text_len}")
+    spans = concatenation.genome_spans
     if pos == text_len:
-        return concatenation.genome_count
-    idx = bisect_right(concatenation.genome_spans, pos, key=itemgetter(0)) - 1
+        return len(spans)
+    idx = bisect_right(spans, pos, key=itemgetter(0)) - 1
     if idx >= 0:
-        start, end = concatenation.genome_spans[idx]
+        start, end = spans[idx]
         if start <= pos < end:
             return idx + 1
     return None
 
 
-def reverse_concatenation(
-    concatenation: Concatenation, flipped: bytes | None = None
-) -> Concatenation:
-    """Concatenation of the literally reversed text; spans mirror positionally.
+def reverse_concatenation(concatenation: Concatenation) -> Concatenation:
+    """Concatenation of the literally reversed text.
 
     Genome ordinals of the result follow the reversed text left to right,
-    i.e. ordinal 1 is the original last genome.  ``flipped``, if given, is
-    that reversed text, made already by the caller, and is kept as it is.
+    i.e. ordinal 1 is the original last genome.
     """
-    n = len(concatenation.text)
-    spans = tuple(
-        (n - end, n - start) for start, end in reversed(concatenation.genome_spans)
-    )
-    return Concatenation(
-        text=concatenation.text[::-1] if flipped is None else flipped,
-        genome_spans=spans,
-        sentinel=concatenation.sentinel,
-    )
+    return Concatenation(concatenation.text[::-1], concatenation.sentinel)

@@ -12,9 +12,9 @@ index has exactly one file.  Load reads the columns back into an
 ``Lz77Parse``, with no object per phrase.  Everything else is derived on
 load: the text by copying each forward phrase from its source (an
 overlapping source by doubling the copied periods), phrase starts as
-running sums, the concatenation from the leaf labels and the
-text split at the sentinel, each side's contexts, tries and grid by the
-same ``engine.build_side`` the build uses, and the LCA tables.
+running sums, the genomes as the runs between sentinels of that same text,
+each side's contexts, tries and grid by the same ``engine.build_side`` the
+build uses, and the LCA tables.
 
 ``save_index`` writes a temporary file next to the target, fsyncs it and
 renames it over the target, so a failed save leaves the previous file as it
@@ -25,7 +25,7 @@ trees pass (``model.tree_from_parents``: one root, no cycle, in-order
 vertex numbers, unique non-empty leaf labels), phrase lengths that tile the
 declared length on each side (before anything is decoded), each phrase
 copying an earlier source, reverse phrases that decode to the reversed
-text, and one genome per leaf.  That is all an exact answer needs: every
+text, and one non-empty genome per leaf.  That is all an exact answer needs: every
 k-mer's leftmost occurrence then crosses a phrase boundary.  Load memory
 follows the declared text length, at most 4 GiB - 1, not the file size.
 Any failure raises IndexFileError.  Version 1, 2 and 3 files are rejected
@@ -43,13 +43,7 @@ from .engine import KmerIndex, assemble_index
 from .grid import ContextGrid  # noqa: F401 -- perfbench/tracing.py wraps store.ContextGrid
 from .lca import build_lca  # noqa: F401 -- perfbench/tracing.py wraps store.build_lca
 from .lz77 import Lz77Parse
-from .model import (
-    GenomeRecord,
-    PhyloTree,
-    build_concatenation,
-    reverse_concatenation,
-    tree_from_parents,
-)
+from .model import Concatenation, PhyloTree, tree_from_parents
 from .tries import build_trie  # noqa: F401 -- perfbench/tracing.py wraps store.build_trie
 
 MAGIC = b"PKMRIDX\x00"
@@ -188,14 +182,13 @@ def load_index(path) -> KmerIndex:
         (n,) = struct.unpack("<I", src.take(4))
         text, forward = _read_parse(src, n)
         flipped = text[::-1]
-        _, reverse = _read_parse(src, n, flipped)
+        reverse = _read_parse(src, n, flipped)[1]
         _check(src.pos == src.end, "trailing bytes after index data")
-        pieces = text.split(bytes([sentinel]))
-        names = tree.leaf_labels()
-        _check(len(pieces) == len(names), f"{len(pieces)} genomes for {len(names)} leaves")
-        genomes = [GenomeRecord(name, seq) for name, seq in zip(names, pieces)]
-        concat = build_concatenation(tree, genomes, sentinel)
-        reversal = reverse_concatenation(concat, flipped)
-    except ValueError as exc:  # IndexFileError, bad UTF-8, or an empty or duplicate genome
+        concat = Concatenation(text, sentinel)
+        names, count = tree.leaf_labels(), concat.genome_count
+        _check(count == len(names), f"{count} genomes for {len(names)} leaves")
+        for name, (start, end) in zip(names, concat.genome_spans):
+            _check(start < end, f"genome {name!r} is empty")
+    except ValueError as exc:  # IndexFileError, a bad tree, or bad UTF-8
         raise IndexFileError(f"{path}: {exc}") from None
-    return assemble_index(tree, concat, reversal, forward, reverse)
+    return assemble_index(tree, concat, Concatenation(flipped, sentinel), forward, reverse)

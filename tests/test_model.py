@@ -2,6 +2,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     FIXTURE_NEWICK,
@@ -244,3 +246,32 @@ def test_reverse_concatenation():
         else:
             # Genome r of the reversed text is genome g + 1 - r forward.
             assert back == g + 1 - fwd
+
+
+@st.composite
+def sentinel_free_genomes(draw):
+    """1-6 genomes of arbitrary bytes but the sentinel, a sentinel byte with
+    0x00 and 0xFF among those drawn, and a random tree over the genomes."""
+    sentinel = draw(st.sampled_from([0x00, 0xFF]) | st.integers(0, 255))
+    byte = st.integers(0, 255).filter(lambda b: b != sentinel)
+    seqs = draw(st.lists(st.lists(byte, min_size=1, max_size=20).map(bytes), min_size=1, max_size=6))
+    genomes = [GenomeRecord(f"G{i}", seq) for i, seq in enumerate(seqs)]
+    tree = parse_newick(random_tree_newick(draw(st.randoms()), [g.name for g in genomes]))
+    return tree, genomes, sentinel
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(sentinel_free_genomes())
+def test_genome_bounds_are_read_off_the_text(instance):
+    tree, genomes, sentinel = instance
+    cat = build_concatenation(tree, genomes, sentinel)
+    lengths = {g.name: len(g.sequence) for g in genomes}
+    spans, start = [], 0
+    for label in tree.leaf_labels():
+        spans.append((start, start + lengths[label]))
+        start += lengths[label] + 1
+    assert cat.genome_spans == tuple(spans)
+    assert cat.genome_count == len(tree.leaves)
+    n = len(cat.text)
+    mirrored = tuple((n - end, n - start) for start, end in reversed(spans))
+    assert reverse_concatenation(cat).genome_spans == mirrored

@@ -30,7 +30,7 @@ from phylokmer import (
 )
 from phylokmer.lz77 import lz77_parse
 from phylokmer.model import parse_newick, reverse_concatenation
-from phylokmer.store import MAGIC, IndexFileError
+from phylokmer.store import FORMAT_VERSION, MAGIC, IndexFileError, _section, _write_tree
 
 SENTINEL = len(MAGIC) + 2  # after the magic and the u16 version
 HEAD = SENTINEL + 1
@@ -296,6 +296,29 @@ def test_crafted_files_with_valid_crc_are_rejected(worked_index, tmp_path, offse
     body = data[:offset] + patch + data[offset + len(patch) : -4]
     crafted = tmp_path / "crafted.idx"
     crafted.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(IndexFileError, match=problem):
+        load_index(crafted)
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        (b"$A", "genome 'X' is empty"),
+        (b"A$", "genome 'Y' is empty"),
+        (b"A$$A", "3 genomes for 2 leaves"),
+    ],
+)
+def test_crafted_texts_must_hold_one_genome_per_leaf(text, problem, tmp_path):
+    # Valid v4 files whose phrases spell the text, written as save_index
+    # writes them: the genomes are the runs between separators.
+    out = [MAGIC, struct.pack("<HB", FORMAT_VERSION, ord("$"))]
+    _write_tree(out, parse_newick("(X,Y);"))
+    out.append(struct.pack("<I", len(text)))
+    for parse, codes in ((lz77_parse(text), "IIB"), (lz77_parse(text[::-1]), "II")):
+        sources = [source + 1 for source in parse.sources]
+        _section(out, codes, (parse.match_lens, sources, parse.literals.ljust(parse.z, b"\0")))
+    crafted = tmp_path / "crafted.idx"
+    crafted.write_bytes(_with_crc(b"".join(out)))
     with pytest.raises(IndexFileError, match=problem):
         load_index(crafted)
 
