@@ -84,7 +84,7 @@ class Concatenation:
 
     @property
     def genome_count(self) -> int:
-        return self.text.count(self.sentinel) + 1
+        return len(self.genome_spans)
 
 
 def _sentinel_value(sentinel: bytes | int) -> int:

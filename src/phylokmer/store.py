@@ -25,11 +25,11 @@ trees pass (``model.tree_from_parents``: one root, no cycle, in-order
 vertex numbers, unique non-empty leaf labels), phrase lengths that tile the
 declared length on each side (before anything is decoded), each phrase
 copying an earlier source, reverse phrases that decode to the reversed
-text, and one non-empty genome per leaf.  That is all an exact answer needs: every
-k-mer's leftmost occurrence then crosses a phrase boundary.  Load memory
-follows the declared text length, at most 4 GiB - 1, not the file size.
-Any failure raises IndexFileError.  Version 1, 2 and 3 files are rejected
-("unsupported format version ...") and must be rebuilt.
+text, and one non-empty genome per leaf.  That is all an exact answer
+needs: every k-mer's leftmost occurrence then crosses a phrase boundary.
+Load memory follows the declared text length, at most 4 GiB - 1, not the
+file size.  Any failure raises IndexFileError.  Version 1, 2 and 3 files
+are rejected ("unsupported format version ...") and must be rebuilt.
 """
 from __future__ import annotations
 
@@ -185,9 +185,9 @@ def load_index(path) -> KmerIndex:
         reverse = _read_parse(src, n, flipped)[1]
         _check(src.pos == src.end, "trailing bytes after index data")
         concat = Concatenation(text, sentinel)
-        names, count = tree.leaf_labels(), concat.genome_count
-        _check(count == len(names), f"{count} genomes for {len(names)} leaves")
-        for name, (start, end) in zip(names, concat.genome_spans):
+        names, spans = tree.leaf_labels(), concat.genome_spans
+        _check(len(spans) == len(names), f"{len(spans)} genomes for {len(names)} leaves")
+        for name, (start, end) in zip(names, spans):
             _check(start < end, f"genome {name!r} is empty")
     except ValueError as exc:  # IndexFileError, a bad tree, or bad UTF-8
         raise IndexFileError(f"{path}: {exc}") from None
