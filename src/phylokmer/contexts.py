@@ -51,33 +51,46 @@ def rank_slices(text: bytes, starts: Sequence[int], stops: Sequence[int]) -> Ran
     end their strings, so each string is sliced about twice as far as it ties."""
     ranks = [0] * len(starts)
     refs: list[tuple[int, int]] = []
-
-    def sort(ids: Sequence[int], offset: int, width: int) -> None:
-        stop = offset + width
-        keys = [text[starts[i] + offset : min(starts[i] + stop, stops[i])] for i in ids]
-        # stable, so the last of a run of equal keys is its last occurrence
-        order = sorted(range(len(ids)), key=keys.__getitem__)
-        lo = 0
-        while lo < len(order):
-            key = keys[order[lo]]
-            hi = lo + 1
-            while hi < len(order) and keys[order[hi]] == key:
-                hi += 1
-            if hi - lo > 1 and len(key) == width:
-                sort([ids[j] for j in order[lo:hi]], stop, 2 * width)
-            else:  # one string
-                i = ids[order[hi - 1]]
-                refs.append((starts[i], stops[i] - starts[i]))
-                for j in order[lo:hi]:
-                    ranks[ids[j]] = len(refs)
-            lo = hi
-
-    sort(range(len(starts)), 0, 64)
+    _sort_slices(text, starts, stops, range(len(starts)), 0, 64, refs, ranks)
     return Ranking(tuple(refs), ranks)
 
 
+def _sort_slices(
+    text: bytes,
+    starts: Sequence[int],
+    stops: Sequence[int],
+    ids: Sequence[int],
+    offset: int,
+    width: int,
+    refs: list[tuple[int, int]],
+    ranks: list[int],
+) -> None:
+    """Rank the strings ``ids``, which agree on their first ``offset`` bytes,
+    on the next ``width`` bytes and, where they tie, recursively: append each
+    distinct string's ref to ``refs`` in order and set its ``ranks``."""
+    stop = offset + width
+    keys = [text[starts[i] + offset : min(starts[i] + stop, stops[i])] for i in ids]
+    # stable, so the last of a run of equal keys is its last occurrence
+    order = sorted(range(len(ids)), key=keys.__getitem__)
+    lo = 0
+    while lo < len(order):
+        key = keys[order[lo]]
+        hi = lo + 1
+        while hi < len(order) and keys[order[hi]] == key:
+            hi += 1
+        if hi - lo > 1 and len(key) == width:
+            group = [ids[j] for j in order[lo:hi]]
+            _sort_slices(text, starts, stops, group, stop, 2 * width, refs, ranks)
+        else:  # one string
+            i = ids[order[hi - 1]]
+            refs.append((starts[i], stops[i] - starts[i]))
+            for j in order[lo:hi]:
+                ranks[ids[j]] = len(refs)
+        lo = hi
+
+
 def build_context_sets(
-    concatenation: Concatenation, parse: Lz77Parse
+    concatenation: Concatenation, flipped: bytes, parse: Lz77Parse
 ) -> tuple[Ranking, Ranking, list[BoundaryContext]]:
     """Rank the suffixes and the retained prefixes, and list all boundary contexts.
 
@@ -87,8 +100,9 @@ def build_context_sets(
     pass over consecutive boundaries: the genome holding the byte before a
     boundary bounds both strings, the suffix by the genome's start and the
     prefix by its end, and boundaries only grow, so its ordinal is found by
-    walking ``genome_spans`` forward.  Suffix refs point into the reversed
-    text, where each suffix reads left to right from ``len(text) - end``.
+    walking ``genome_spans`` forward.  Suffix refs point into ``flipped``,
+    the text reversed, where each suffix reads left to right from
+    ``len(text) - end``.
     """
     text = concatenation.text
     sentinel = concatenation.sentinel
@@ -105,7 +119,7 @@ def build_context_sets(
         contexts.append(BoundaryContext(end, max(start, g_start), g_end, g + 1, text))
     ends = [c.boundary_pos for c in contexts]
     n = len(text)
-    suffixes = rank_slices(text[::-1], [n - e for e in ends], [n - c.suffix_start for c in contexts])
+    suffixes = rank_slices(flipped, [n - e for e in ends], [n - c.suffix_start for c in contexts])
     return suffixes, rank_slices(text, ends, [c.prefix_end for c in contexts]), contexts
 
 

@@ -20,9 +20,8 @@ up to k - 1 bytes right of c, in the prefix trie) are each verified once
 and keep their verified length and node chain: a k-mer whose alpha or beta
 part is longer than that length does not split there, and one that does
 bisects the chains for its rank box.  The box's x-range is a suffix-trie
-node's, and the grid is laid on those nodes: it scans the box's points
-when they are few and answers from that node's entry otherwise, never
-tiling.
+node's: the grid scans the box's points when they are few, and otherwise
+answers from the node of their run, built on that run's first query.
 A k-mer closes once its label is the side's leftmost (rightmost) leaf, and
 the reverse side is not asked about a k-mer the forward side found nowhere.
 """
@@ -145,25 +144,25 @@ def build_side(
     """Derive one side's contexts from its text and parse, then its tries and grid.
 
     The one path for build and load.  ``flipped`` is the text reversed, the
-    other side's text, so the two sides share two copies.
+    other side's text, over which the suffixes are ranked and the suffix
+    trie is built, so the two sides share two copies.
     ``leaf_vertices[ordinal - 1]`` maps this text's genome ordinals to tree
-    vertex numbers.  The grid is laid on the suffix trie's node intervals,
-    the x-ranges of every split's box.
+    vertex numbers.  The grid starts with its points alone; the queries
+    build its nodes.
     """
     text = concatenation.text
-    suffixes, prefixes, ctxs = contexts_mod.build_context_sets(concatenation, parse)
+    suffixes, prefixes, ctxs = contexts_mod.build_context_sets(concatenation, flipped, parse)
     aggregate = "max" if is_reverse else "min"
     points = contexts_mod.grid_points(ctxs, suffixes, prefixes, aggregate, leaf_vertices)
-    # Co-lex order of the suffixes is lex order of the reversed text's refs.
-    suffix_trie = build_trie(text=flipped, refs=suffixes.refs)
     return SideIndex(
         text=text,
         parse=parse,
         suffix_refs=suffixes.refs,
         prefix_refs=prefixes.refs,
-        suffix_trie=suffix_trie,
+        # Co-lex order of the suffixes is lex order of the reversed text's refs.
+        suffix_trie=build_trie(text=flipped, refs=suffixes.refs),
         prefix_trie=build_trie(text=text, refs=prefixes.refs),
-        grid=ContextGrid(points, aggregate, suffix_trie.intervals()),
+        grid=ContextGrid(points, aggregate),
         is_reverse=is_reverse,
     )
 

@@ -107,7 +107,8 @@ def _read_parse(src: _Reader, n: int, text: bytes | None = None) -> tuple[bytes,
     """Read one side's phrases, check that they tile ``n`` bytes, and decode them.
 
     The reverse side, given its reversed ``text``, has no literal column: it
-    takes its literals from ``text`` and must decode to it.
+    takes its literals from ``text`` and must decode to it, and returns
+    ``text`` itself, not a copy of its decode.
     """
     lens, sources, *column = src.section("IIB" if text is None else "II")
     starts = [0, *accumulate(length + 1 for length in lens)]
@@ -132,7 +133,7 @@ def _read_parse(src: _Reader, n: int, text: bytes | None = None) -> tuple[bytes,
     del out[n:]
     _check(text is None or out == text, "reverse phrases do not spell the reversed text")
     parse = Lz77Parse(lens, tuple(s - 1 for s in sources), literals, (*starts, n))
-    return bytes(out), parse
+    return (bytes(out) if text is None else text), parse
 
 
 def save_index(index: KmerIndex, path) -> None:

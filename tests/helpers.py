@@ -242,6 +242,16 @@ def string_at(trie: CompactTrie, rank: int) -> bytes:
     return trie.text[pos : pos + node.depth]
 
 
+def node_intervals(trie: CompactTrie) -> list[tuple[int, int]]:
+    """``(lo, hi)`` of every node below the root, breadth-first: the rank
+    intervals that descents report for patterns of one or more bytes, so
+    the x-ranges of every box the split loop sends to a grid."""
+    nodes = list(trie.root.children.values())
+    for node in nodes:  # grows while it is read
+        nodes.extend(node.children.values())
+    return [(node.lo, node.hi) for node in nodes]
+
+
 def prefix_intervals(trie: CompactTrie, pattern: bytes) -> tuple[list[int], list[int]]:
     """Verified rank intervals ``(lo[L], hi[L])`` for every prefix length L of
     ``pattern`` that some set string starts with, read off one ``descend``

@@ -94,7 +94,7 @@ def test_max_prefix_at():
 def test_fixture_context_sets():
     cat = fixture_concat()
     parse = lz77_parse(cat.text)
-    suffixes, prefixes, contexts = build_context_sets(cat, parse)
+    suffixes, prefixes, contexts = build_context_sets(cat, cat.text[::-1], parse)
     assert suffix_strings(cat.text, suffixes) == FIXTURE_SUFFIXES
     assert prefix_strings(cat.text, prefixes) == FIXTURE_PREFIXES
     assert {x for c, x in zip(contexts, suffixes.ranks) if c.suffix == b"GATT"} == {9}
@@ -119,7 +119,7 @@ def test_fixture_candidates_and_discards():
     parse = lz77_parse(cat.text)
     candidates = candidate_prefixes(cat, parse)
     assert len(candidates) == 11
-    _, prefixes, _ = build_context_sets(cat, parse)
+    _, prefixes, _ = build_context_sets(cat, cat.text[::-1], parse)
     discarded = set(candidates) - set(prefix_strings(cat.text, prefixes))
     assert discarded == {b"GATTACAT", b"AGATACAT", b"GATTAGATA"}
 
@@ -127,7 +127,7 @@ def test_fixture_candidates_and_discards():
 def test_fixture_grid_points():
     cat = fixture_concat()
     parse = lz77_parse(cat.text)
-    suffixes, prefixes, contexts = build_context_sets(cat, parse)
+    suffixes, prefixes, contexts = build_context_sets(cat, cat.text[::-1], parse)
     points = grid_points(contexts, suffixes, prefixes, "min", fixture_tree().leaves)
     assert points == FIXTURE_POINTS
 
@@ -138,7 +138,7 @@ def test_single_genome_contexts():
     tree = parse_newick("G;")
     cat = build_concatenation(tree, [GenomeRecord("G", b"G")])
     parse = lz77_parse(cat.text)
-    suffixes, prefixes, contexts = build_context_sets(cat, parse)
+    suffixes, prefixes, contexts = build_context_sets(cat, cat.text[::-1], parse)
     assert suffix_strings(cat.text, suffixes) == (b"G",)
     assert prefix_strings(cat.text, prefixes) == (b"",)
     assert as_bytes(contexts) == [(1, b"G", b"", 1)]
@@ -165,7 +165,7 @@ def test_context_invariants_on_random_instances():
         tree, genomes = random_instance(rng)
         cat = build_concatenation(tree, genomes)
         parse = lz77_parse(cat.text)
-        suffixes, prefixes, contexts = build_context_sets(cat, parse)
+        suffixes, prefixes, contexts = build_context_sets(cat, cat.text[::-1], parse)
         assert as_bytes(contexts) == [tuple(c) for c in reference_contexts(cat, parse)]
 
         sentinel = cat.sentinel
@@ -297,7 +297,7 @@ def test_position_ranking_matches_byte_sorting(instance):
     cat = build_concatenation(tree, genomes, sentinel)
     for side, leaves in ((cat, tree.leaves), (reverse_concatenation(cat), tree.leaves[::-1])):
         parse = lz77_parse(side.text)
-        suffixes, prefixes, contexts = build_context_sets(side, parse)
+        suffixes, prefixes, contexts = build_context_sets(side, side.text[::-1], parse)
         ref_suffixes, ref_prefixes, ref_contexts = reference_context_sets(side, parse)
         assert as_bytes(contexts) == [tuple(c) for c in ref_contexts]
         assert suffix_strings(side.text, suffixes) == ref_suffixes

@@ -1,5 +1,6 @@
 """End-to-end index behavior: side queries, classification, descent budget."""
 import dataclasses
+import gc
 import math
 import random
 import tracemalloc
@@ -14,6 +15,7 @@ from helpers import (
     fixture_genomes,
     fixture_tree,
     kmer_occurrences,
+    node_intervals,
     random_instance,
     random_pattern,
     random_tree_newick,
@@ -172,13 +174,9 @@ def test_descent_budget(worked_index):
             assert results == classify(worked_index, pattern, k)
 
 
-def test_split_loop_never_tiles_the_grid(monkeypatch):
+def test_split_loop_never_tiles_the_grid():
     # Every box the split loop sends has the x-range of a suffix-trie node,
-    # so the grid answers each with one node and never tiles.
-    def tile(self, x1, x2):
-        raise AssertionError(f"tiled [{x1}, {x2}]")
-
-    monkeypatch.setattr(ContextGrid, "_tile", tile)
+    # so the grid builds nodes only on the runs of such nodes.
     synth = benchmark_generator()
     rng = random.Random("one node per split")
     pangenome = synth.make_pangenome(rng, genomes=6, length=400)
@@ -194,6 +192,38 @@ def test_split_loop_never_tiles_the_grid(monkeypatch):
     patterns += [(seq, len(seq)) for seq in wholes]
     for pattern, k in patterns:
         assert classify(index, pattern, k) == naive_classify(tree, genomes, pattern, k), k
+    for side in (index.forward, index.reverse):
+        start = side.grid._start
+        runs = {(start[lo], start[hi + 1]) for lo, hi in node_intervals(side.suffix_trie)}
+        assert side.grid._nodes and set(side.grid._nodes) <= runs
+
+
+def test_fresh_grids_hold_no_nodes(worked_index, tmp_path):
+    # Nodes are built by queries, so neither a build nor a load makes one.
+    save_index(worked_index, tmp_path / "fixture.pkm")
+    for index in (worked_index, load_index(tmp_path / "fixture.pkm")):
+        for side in (index.forward, index.reverse):
+            assert side.grid._nodes == {}
+
+
+def test_build_and_load_leave_no_reference_cycles(tmp_path):
+    # Everything a build or a load makes is either kept by the index or
+    # freed by reference counting; nothing waits for the cyclic GC.
+    synth = benchmark_generator()
+    pangenome = synth.make_pangenome(random.Random("no cycles"), genomes=4, length=3_000)
+    tree = parse_newick(pangenome.newick)
+    genomes = [GenomeRecord(name, seq) for name, seq in pangenome.genomes]
+    gc.collect()
+    gc.disable()
+    try:
+        index = build_index(tree, genomes)
+        assert gc.collect() == 0
+        save_index(index, tmp_path / "cycles.pkm")
+        gc.collect()
+        load_index(tmp_path / "cycles.pkm")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_grid_size_bound_on_nested_phrases():
@@ -203,9 +233,13 @@ def test_grid_size_bound_on_nested_phrases():
     # phrase-bounded, so level 0, the nodes' labels, holds at most
     # points + text bytes.  The tables above it are over minima of blocks
     # of BLOCK labels, so they hold about a BLOCK-th of doubling tables.
+    # Every suffix-trie node's box is queried first, so every node the
+    # split loop could build is built.
     genome = b"".join(b"A" * t + b"C" for t in range(1, 121))
     index = build_index(parse_newick("G;"), [GenomeRecord("G", genome)])
     for side in (index.forward, index.reverse):
+        for lo, hi in node_intervals(side.suffix_trie):
+            side.grid.range_best(lo, hi, 1, side.prefix_trie.size)
         nodes = side.grid._nodes.values()
         points = len(side.grid.points)
         bound = points + len(side.text)
@@ -409,7 +443,10 @@ def test_large_pangenome_load_memory_and_whole_genome_queries(tmp_path):
     # genome length; the index it returns is what the heap should hold.
     # Whole-genome queries add head tables of at most HEAD_CAP bytes a
     # head, plus a set entry and a bytes header: uncapped heads would grow
-    # the heap by about 53 MB here, four times the index.
+    # the heap by about 53 MB here, four times the index.  They also build
+    # the grid nodes of the runs they query: a list slot per entry, 8 bytes
+    # and at most an eighth more for list growth, and about 512 bytes of
+    # objects per node (its key, tuple, three lists and dict slot).
     synth = benchmark_generator()
     rng = random.Random("scale:1")
     pangenome = synth.make_pangenome(rng, genomes=8, length=25_000)
@@ -435,8 +472,11 @@ def test_large_pangenome_load_memory_and_whole_genome_queries(tmp_path):
     assert peak <= 1.5 * kept, f"load peaked at {peak / 2**20:.1f} MB, kept {kept / 2**20:.1f} MB"
     heads = sum(len(table) for side in (index.forward, index.reverse)
                 for tables in side.heads.values() for table in tables)
-    assert queried - kept <= (HEAD_CAP + 64) * heads, (
+    nodes = [node for side in (index.forward, index.reverse) for node in side.grid._nodes.values()]
+    entries = sum(len(ys) + len(labels) + sum(map(len, table)) for ys, labels, table in nodes)
+    assert queried - kept <= (HEAD_CAP + 64) * heads + 9 * entries + 512 * len(nodes), (
         f"queries grew the heap by {(queried - kept) / 2**20:.3f} MB for {heads} heads"
+        f" and {len(nodes)} grid nodes of {entries} entries"
     )
 
 
@@ -457,11 +497,14 @@ def test_400kb_pangenome_matches_reference_after_save_and_load(tmp_path):
     index = load_index(tmp_path / "scale.pkm")
     for side in (index.forward, index.reverse):
         # Nodes only on runs of more than SMALL points, and tables over
-        # block minima: each side's grid keeps about 1 MB here.
-        points, intervals = side.grid.points, side.suffix_trie.intervals()
+        # block minima: with every suffix-trie node's box queried, each
+        # side's grid keeps about 1 MB here.
+        points = side.grid.points
         tracemalloc.start()
         try:
-            grid = ContextGrid(points, side.grid.aggregator, intervals)
+            grid = ContextGrid(points, side.grid.aggregator)
+            for lo, hi in node_intervals(side.suffix_trie):
+                grid.range_best(lo, hi, 1, side.prefix_trie.size)
             kept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

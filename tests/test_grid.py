@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import node_intervals
 from phylokmer import grid as grid_mod
 from phylokmer.grid import ContextGrid
 from phylokmer.tries import build_trie
 
 # (SMALL, BLOCK): a node on every non-empty run with tables over single
 # labels or pairs, the shipped sizes, and no node at all, so that every
-# path of range_best and tiling is compared with the scan.
+# path of range_best is compared with the scan.
 SIZES = [(0, 1), (0, 2), (grid_mod.SMALL, grid_mod.BLOCK), (10**9, 16)]
 
 
@@ -124,8 +125,7 @@ def test_duplicate_labels_across_cells_are_fine():
 
 
 def test_every_size_up_to_70_points():
-    # Top-down halvings of the distinct xs, uneven where a size is not a
-    # power of two: every x range.
+    # Every x-range, so under small SMALL every run gets a node.
     rng = random.Random(32)
     for small, block in SIZES:
         with grid_sizes(small, block):
@@ -144,14 +144,16 @@ def test_every_size_up_to_70_points():
 
 @pytest.mark.parametrize("aggregator, pick", [("min", min), ("max", max)])
 def test_partial_blocks_at_both_ends(aggregator, pick):
-    # Nodes of 100 and 50 points, ten per x, read through their tables:
-    # each box's y-range covers whole blocks and cuts a block at either end.
-    # The last box is tiled over such nodes.  The one winning label sits at
-    # every point in turn, inside the box and out.
+    # Nodes of 100, 50 and 70 points, ten per x, read through their
+    # tables: each box's y-range covers whole blocks and cuts a block at
+    # either end.  The one winning label sits at every point in turn,
+    # inside the box and out.
     cells = [(x, y) for x in range(1, 11) for y in range(1, 11)]
     boxes = [(1, 10, 3, 7), (1, 10, 2, 9), (1, 5, 2, 8), (1, 7, 2, 9)]
-    for box in boxes[:3]:
-        ys = ContextGrid([(x, y, 5) for x, y in cells], aggregator)._nodes[box[:2]][0]
+    for box in boxes:
+        grid = ContextGrid([(x, y, 5) for x, y in cells], aggregator)
+        grid.range_best(*box)
+        (ys, _, _), = grid._nodes.values()
         a, b = bisect_left(ys, box[2]), bisect_right(ys, box[3])
         assert a % grid_mod.BLOCK and b % grid_mod.BLOCK and b - a > 2 * grid_mod.BLOCK, box
     winner = 1 if aggregator == "min" else 99
@@ -184,19 +186,16 @@ def test_matches_brute_force_scan(points, aggregator, boxes):
 
 
 def _check_trie_family(strings, points, boxes):
-    """A grid laid on a trie's node intervals answers each node's x-range
-    with its run or its node alone, and any box, tiled, like the scan.
+    """A grid answers each trie node's x-range, and any box, like the scan.
     Only runs of more than SMALL points get a node."""
     trie = build_trie(strings)
-    intervals = trie.intervals()
     for aggregator, pick in (("min", min), ("max", max)):
-        grid = ContextGrid(points, aggregator, intervals)
+        grid = ContextGrid(points, aggregator)
+        for lo, hi in node_intervals(trie):
+            for y1, y2 in ((1, 9), (2, 5), (4, 4), (6, 3)):
+                box = (lo, hi, y1, y2)
+                assert grid.range_best(*box) == scan_best(points, box, pick), box
         assert all(len(ys) > grid_mod.SMALL for ys, _, _ in grid._nodes.values())
-        with mock.patch.object(ContextGrid, "_tile", side_effect=AssertionError("tiled")):
-            for lo, hi in intervals:
-                for y1, y2 in ((1, 9), (2, 5), (4, 4), (6, 3)):
-                    box = (lo, hi, y1, y2)
-                    assert grid.range_best(*box) == scan_best(points, box, pick), box
         for box in boxes + [(1, trie.size, 1, 9)]:
             assert grid.range_best(*box) == scan_best(points, box, pick), box
 
@@ -230,3 +229,29 @@ def test_trie_family_matches_brute_force_scan(data):
     for small, block in SIZES:
         with grid_sizes(small, block):
             _check_trie_family(strings, points, boxes)
+
+
+def test_nodes_are_built_on_first_query_and_kept():
+    # Ten points at each x of 2..4, none at 1 or 5: every x-range from
+    # [1|2, 4|5] is the one run of 30 points.
+    points = [(x, y, 10 * x + y) for x in range(2, 5) for y in range(1, 11)]
+    grid = ContextGrid(points, "min")
+    assert grid._nodes == {}
+    assert grid.range_best(2, 4, 3, 7) == 23
+    (node,) = grid._nodes.values()
+    assert grid.range_best(2, 4, 1, 10) == 21
+    assert grid._nodes[0, 30] is node
+    for x1, x2 in ((1, 4), (2, 5), (1, 5), (0, 9)):
+        assert grid.range_best(x1, x2, 5, 9) == 25
+    assert list(grid._nodes) == [(0, 30)] and grid._nodes[0, 30] is node
+
+
+def test_only_runs_of_more_than_small_points_get_a_node():
+    small = grid_mod.SMALL
+    points = [(x, 1, x) for x in range(1, small + 2)]
+    grid = ContextGrid(points, "max")
+    assert grid.range_best(1, small, 1, 1) == small
+    assert grid.range_best(2, small + 1, 1, 1) == small + 1
+    assert grid._nodes == {}
+    assert grid.range_best(1, small + 1, 1, 1) == small + 1
+    assert list(grid._nodes) == [(0, small + 1)]
