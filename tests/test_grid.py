@@ -153,7 +153,7 @@ def test_partial_blocks_at_both_ends(aggregator, pick):
     for box in boxes:
         grid = ContextGrid([(x, y, 5) for x, y in cells], aggregator)
         grid.range_best(*box)
-        (ys, _, _), = grid._nodes.values()
+        [(ys, _, _)] = grid._nodes.values()
         a, b = bisect_left(ys, box[2]), bisect_right(ys, box[3])
         assert a % grid_mod.BLOCK and b % grid_mod.BLOCK and b - a > 2 * grid_mod.BLOCK, box
     winner = 1 if aggregator == "min" else 99
