@@ -21,7 +21,6 @@ from .model import (
     GenomeRecord,
     PhyloTree,
     build_concatenation,
-    genome_of_position,
     parse_fasta,
     parse_newick,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "build_index",
     "classify",
     "classify_with_stats",
-    "genome_of_position",
     "load_index",
     "naive_classify",
     "parse_fasta",

@@ -37,10 +37,10 @@ def _read_fastq(stream: IO[str], path: str) -> Iterator[tuple[str, bytes]]:
             raise ValueError(f"{path}: truncated FASTQ record {header[:30]!r}")
         if not plus.startswith("+"):
             raise ValueError(f"{path}: malformed FASTQ record {header[:30]!r}")
-        name = header[1:].split()[0] if header[1:].split() else ""
-        if not name:
+        fields = header[1:].split()
+        if not fields:
             raise ValueError(f"{path}: FASTQ record with empty id")
-        yield name, seq.encode("latin-1").upper()
+        yield fields[0], seq.encode("latin-1").upper()
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -82,14 +82,11 @@ def cmd_build(args: argparse.Namespace) -> int:
 
     fwd, rev = index.forward, index.reverse
     print(f"genomes: {len(tree.leaves)}  vertices: {tree.vertex_count}  text: {len(fwd.text)} bytes")
-    print(
-        f"forward: phrases={fwd.parse.z} suffixes={len(fwd.suffix_refs)} "
-        f"prefixes={len(fwd.prefix_refs)} grid_points={len(fwd.grid.points)}"
-    )
-    print(
-        f"reverse: phrases={rev.parse.z} suffixes={len(rev.suffix_refs)} "
-        f"prefixes={len(rev.prefix_refs)} grid_points={len(rev.grid.points)}"
-    )
+    for name, side in (("forward", fwd), ("reverse", rev)):
+        print(
+            f"{name}: phrases={side.parse.z} suffixes={side.suffix_trie.size} "
+            f"prefixes={side.prefix_trie.size} grid_points={side.grid.size}"
+        )
     print(f"wrote {args.out} ({os.path.getsize(args.out)} bytes)")
     return 0
 

@@ -28,10 +28,6 @@ class BoundaryContext(NamedTuple):
     text: bytes
 
     @property
-    def suffix(self) -> bytes:
-        return self.text[self.suffix_start : self.boundary_pos]
-
-    @property
     def prefix(self) -> bytes:
         return self.text[self.boundary_pos : self.prefix_end]
 
@@ -127,24 +123,16 @@ def grid_points(
     contexts: Sequence[BoundaryContext],
     suffixes: Ranking,
     prefixes: Ranking,
-    aggregate: str,
     leaf_vertices: Sequence[int],
 ) -> list[tuple[int, int, int]]:
-    """Labeled points (x, y, label): one per distinct (suffix, prefix) pair.
+    """Labeled points (x, y, label), one per context, in context order.
 
-    x is the suffix co-lex rank, y the prefix lex rank.  The label is the
-    min or max (per ``aggregate``) vertex number over the genomes of all
-    contexts sharing the pair; ``leaf_vertices[ordinal - 1]`` maps genome
-    ordinals to vertex numbers.
+    x is the suffix co-lex rank, y the prefix lex rank, and the label the
+    vertex number of the context's genome: ``leaf_vertices[ordinal - 1]``
+    maps genome ordinals to vertex numbers.  Contexts sharing a (suffix,
+    prefix) pair give points in one cell; the grid keeps the best of them.
     """
-    if aggregate not in ("min", "max"):
-        raise ValueError(f"aggregate must be 'min' or 'max', got {aggregate!r}")
-    lowest = aggregate == "min"
-    best: dict[tuple[int, int], int] = {}
-    for ctx, x, y in zip(contexts, suffixes.ranks, prefixes.ranks):
-        vertex = leaf_vertices[ctx.genome - 1]
-        key = (x, y)
-        old = best.get(key)
-        if old is None or (vertex < old if lowest else vertex > old):
-            best[key] = vertex
-    return [(x, y, label) for (x, y), label in sorted(best.items())]
+    return [
+        (x, y, leaf_vertices[ctx.genome - 1])
+        for ctx, x, y in zip(contexts, suffixes.ranks, prefixes.ranks)
+    ]

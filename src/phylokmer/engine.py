@@ -51,24 +51,21 @@ HEAD_CAP = 32
 
 @dataclass(frozen=True)
 class SideIndex:
-    """One direction of the index: parse, context refs, tries, and labeled grid.
+    """One direction of the index: parse, tries, and labeled grid.
 
     ``text`` is the (possibly reversed) concatenation.  Context strings live
-    only as (start, length) refs: ``suffix_refs`` per suffix-set string in
-    co-lex order, into ``text[::-1]`` where the string reads reversed, and
-    ``prefix_refs`` per retained prefix in lex order, into ``text``; list
-    position + 1 is the string's rank and grid coordinate.  ``suffix_trie``
-    is built over the reversed suffix strings, so descending with a
-    reversed k-mer fragment yields the co-lex rank range of suffixes ending
-    with that fragment; ``prefix_trie`` covers the prefixes.  Both tries
-    are built from the refs, and ``suffix_set`` and ``prefix_set`` read the
-    strings back from them on each access, for tests and counts only.
+    only as the tries' (start, length) refs: ``suffix_trie`` holds one per
+    suffix-set string in co-lex order, into ``text[::-1]`` where the string
+    reads reversed, and ``prefix_trie`` one per retained prefix in lex
+    order, into ``text``; list position + 1 is the string's rank and grid
+    coordinate.  Descending the suffix trie with a reversed k-mer fragment
+    yields the co-lex rank range of suffixes ending with that fragment.
+    ``suffix_set`` and ``prefix_set`` read the strings back from the tries
+    on each access, for tests and counts only.
     """
 
     text: bytes
     parse: lz77_mod.Lz77Parse
-    suffix_refs: tuple[tuple[int, int], ...]
-    prefix_refs: tuple[tuple[int, int], ...]
     suffix_trie: CompactTrie
     prefix_trie: CompactTrie
     grid: ContextGrid
@@ -89,12 +86,12 @@ class SideIndex:
 
     @property
     def suffix_set(self) -> tuple[bytes, ...]:
-        end = len(self.text)
-        return tuple(self.text[end - start - n : end - start] for start, n in self.suffix_refs)
+        flipped = self.suffix_trie.text
+        return tuple(flipped[pos : pos + n][::-1] for pos, n in self.suffix_trie.refs)
 
     @property
     def prefix_set(self) -> tuple[bytes, ...]:
-        return tuple(self.text[pos : pos + n] for pos, n in self.prefix_refs)
+        return tuple(self.text[pos : pos + n] for pos, n in self.prefix_trie.refs)
 
 
 @dataclass(frozen=True)
@@ -147,22 +144,19 @@ def build_side(
     other side's text, over which the suffixes are ranked and the suffix
     trie is built, so the two sides share two copies.
     ``leaf_vertices[ordinal - 1]`` maps this text's genome ordinals to tree
-    vertex numbers.  The grid starts with its points alone; the queries
-    build its nodes.
+    vertex numbers.  The grid starts with its points alone, the best of
+    each cell; the queries build its nodes.
     """
     text = concatenation.text
     suffixes, prefixes, ctxs = contexts_mod.build_context_sets(concatenation, flipped, parse)
-    aggregate = "max" if is_reverse else "min"
-    points = contexts_mod.grid_points(ctxs, suffixes, prefixes, aggregate, leaf_vertices)
+    points = contexts_mod.grid_points(ctxs, suffixes, prefixes, leaf_vertices)
     return SideIndex(
         text=text,
         parse=parse,
-        suffix_refs=suffixes.refs,
-        prefix_refs=prefixes.refs,
         # Co-lex order of the suffixes is lex order of the reversed text's refs.
         suffix_trie=build_trie(text=flipped, refs=suffixes.refs),
         prefix_trie=build_trie(text=text, refs=prefixes.refs),
-        grid=ContextGrid(points, aggregate),
+        grid=ContextGrid(points, "max" if is_reverse else "min"),
         is_reverse=is_reverse,
     )
 

@@ -1,7 +1,10 @@
 """Static grid of labeled points with closed-box range min/max queries.
 
-The points are three columns in x order, ties in y order: xs, ys and
-``sign * label``, so a max grid is a min grid on negated labels.  With
+A grid holds one point per cell: of points given at one (x, y), it keeps
+the one with the least (min grid) or greatest (max grid) label, which is
+what any box holding that cell answers over all of them.  The points are
+three columns in x order, ties in y order: xs, ys and ``sign * label``,
+so a max grid is a min grid on negated labels.  With
 ``start[x]`` the index of the first point with an x of at least x, the
 points of a box's x-range are the run ``start[x1] : start[x2 + 1]``.
 
@@ -26,6 +29,8 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import Iterable
 
+from .lca import doubling_table
+
 # Runs of at most SMALL points are scanned and get no node; a node keeps a
 # table over the minima of blocks of BLOCK labels.
 SMALL = 8
@@ -33,24 +38,27 @@ BLOCK = 16
 
 
 class ContextGrid:
-    """Point grid answering aggregate queries over closed boxes; its points
-    never change, and it builds a node on each larger run's first query."""
+    """Point grid answering aggregate queries over closed boxes; its points,
+    ``size`` of them, never change, and it builds a node on each larger
+    run's first query."""
 
     def __init__(self, points: Iterable[tuple[int, int, int]], aggregator: str):
         if aggregator not in ("min", "max"):
             raise ValueError(f"aggregator must be 'min' or 'max', got {aggregator!r}")
         self.aggregator = aggregator
-        pts = sorted(points)
-        for x, y, _ in pts:
-            if x < 1 or y < 1:
-                raise ValueError(f"point ({x}, {y}) outside 1-based rank space")
-        for (x, y, _), (x2, y2, _) in zip(pts, pts[1:]):
-            if x == x2 and y == y2:
-                raise ValueError(f"duplicate point at ({x}, {y})")
         sign = self._sign = 1 if aggregator == "min" else -1
+        # Sorted so that each cell's best point comes first; only it is kept.
+        pts = sorted(points, reverse=sign < 0)
+        pairs = zip(pts, [(None, None, None), *pts])
+        pts = [p for p, (x, y, _) in pairs if y != p[1] or x != p[0]]
+        if sign < 0:
+            pts.reverse()
         xs = self._xs = [x for x, _, _ in pts]
-        self._ys = [y for _, y, _ in pts]
+        ys = self._ys = [y for _, y, _ in pts]
+        if xs and (xs[0] < 1 or min(ys) < 1):
+            raise ValueError(f"points outside 1-based rank space: least x {xs[0]}, y {min(ys)}")
         self._labels = [sign * label for _, _, label in pts]
+        self.size = len(xs)
         counts = [0] * (xs[-1] + 2 if xs else 1)
         for x in xs:
             counts[x + 1] += 1
@@ -74,14 +82,7 @@ class ContextGrid:
         # table[d][b] is the least of the block minima b .. b + 2**d - 1.
         table = []
         if len(mine) > 2 * BLOCK:
-            level = [min(mine[t : t + BLOCK]) for t in range(0, len(mine), BLOCK)]
-            table.append(level)
-            blocks = len(level)
-            span = 1
-            while span * 2 <= blocks:
-                level = [a if a < b else b for a, b in zip(level, level[span:])]
-                table.append(level)
-                span *= 2
+            table = doubling_table([min(mine[t : t + BLOCK]) for t in range(0, len(mine), BLOCK)])
         node = self._nodes[i, j] = ([ys[t] for t in order], mine, table)
         return node
 

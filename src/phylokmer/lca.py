@@ -1,8 +1,9 @@
 """Constant-time lowest common ancestor queries over a PhyloTree.
 
 Euler tour with first occurrences, reduced to range-minimum over tour
-depths via doubling tables of (depth, vertex) pairs.  Build is
-O(V log V); queries are O(1).
+depths via a doubling table of (depth, vertex) pairs.  Build is
+O(V log V); queries are O(1).  ``doubling_table`` also builds the grid's
+tables over block minima.
 """
 from __future__ import annotations
 
@@ -30,14 +31,8 @@ class LcaStructure:
                 stack.append((vertex, depth, child_idx + 1))
                 stack.append((children[child_idx], depth + 1, 0))
 
-        levels = [tour]
-        span = 1
-        while span * 2 <= len(tour):
-            prev = levels[-1]
-            levels.append([a if a < b else b for a, b in zip(prev, prev[span:])])
-            span *= 2
         self._first = first
-        self._levels = levels
+        self._levels = doubling_table(tour)
         self._count = count
 
     def query(self, u: int, v: int) -> int:
@@ -52,6 +47,18 @@ class LcaStructure:
         a = level[lo]
         b = level[hi - (1 << j) + 1]
         return (a if a < b else b)[1]
+
+
+def doubling_table(level: list) -> list[list]:
+    """``table[d][i]`` is the least of ``level[i : i + 2**d]``, for every d
+    with ``2**d <= len(level)``; ``table[0]`` is ``level`` itself."""
+    table = [level]
+    span = 1
+    while span * 2 <= len(table[0]):  # the first level's length: later ones shrink
+        level = [a if a < b else b for a, b in zip(level, level[span:])]
+        table.append(level)
+        span *= 2
+    return table
 
 
 def build_lca(tree: PhyloTree) -> LcaStructure:

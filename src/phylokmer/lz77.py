@@ -5,8 +5,9 @@ at an earlier position (the source may overlap the phrase itself), followed
 by one literal byte; the final phrase omits the literal when the match
 consumes the rest of the text.  Sentinels are ordinary bytes here.  The
 source is the leftmost occurrence of the longest match.  The parse is kept
-as columns, not one object per phrase: match lengths, sources, the literal
-bytes and the phrase starts, the first three as the index file stores them.
+as columns, not one object per phrase: match lengths, sources and the
+literal bytes, as the index file stores them.  Phrase starts are derived
+from them, as running sums of the phrase lengths.
 
 Long matches come from a sampled gram index, built once per call and
 dropped with it: the ``GRAM``-grams at positions divisible by ``STEP``, each
@@ -60,6 +61,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from math import log
 
 GRAM = 12  # length of the sampled grams that propose sources
@@ -76,17 +78,22 @@ class Lz77Parse:
     ``match_lens[p]`` bytes from ``sources[p]`` (-1, no source, iff the
     match length is 0), then ``literals[p]``.  ``literals`` is one byte
     short when the final phrase's match reaches the end of the text.
-    ``boundary_positions`` holds the phrase starts, then the text length.
     """
 
     match_lens: tuple[int, ...]
     sources: tuple[int, ...]
     literals: bytes
-    boundary_positions: tuple[int, ...]
 
     @property
     def z(self) -> int:
         return len(self.match_lens)
+
+    @property
+    def boundary_positions(self) -> tuple[int, ...]:
+        """The phrase starts, then the text length: running sums of each
+        phrase's match length and literal, if it has one."""
+        starts = accumulate((length + 1 for length in self.match_lens[:-1]), initial=0)
+        return (*starts, sum(self.match_lens) + len(self.literals))
 
 
 def common_prefix(text: bytes, a: int, b: int, limit: int) -> int:
@@ -162,10 +169,8 @@ def lz77_parse(text: bytes) -> Lz77Parse:
     match_lens: list[int] = []
     sources: list[int] = []
     literals = bytearray()
-    boundaries: list[int] = []
     i = 0
     while i < n:
-        boundaries.append(i)
         match_len, source = 0, n
         if n - i >= EXACT:
             # A source beats the best only if it holds the best plus one
@@ -234,5 +239,4 @@ def lz77_parse(text: bytes) -> Lz77Parse:
         if end < n:
             literals.append(text[end])
         i = end + (end < n)
-    boundaries.append(n)
-    return Lz77Parse(tuple(match_lens), tuple(sources), bytes(literals), tuple(boundaries))
+    return Lz77Parse(tuple(match_lens), tuple(sources), bytes(literals))

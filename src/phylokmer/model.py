@@ -10,9 +10,7 @@ parsed or loaded from an index file, is checked by ``tree_from_parents``.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import IO, Iterable, Sequence
 
 DEFAULT_SENTINEL = b"$"
@@ -53,11 +51,6 @@ class PhyloTree:
     def vertex_count(self) -> int:
         return len(self.parent) - 1
 
-    def label_of(self, vertex: int) -> str | None:
-        if not 1 <= vertex <= self.vertex_count:
-            raise ValueError(f"vertex {vertex} out of range 1..{self.vertex_count}")
-        return self.labels[vertex]
-
     def leaf_labels(self) -> tuple[str, ...]:
         return tuple(self.labels[v] or "" for v in self.leaves)
 
@@ -81,10 +74,6 @@ class Concatenation:
             spans.append((start, end))
             start = end + 1
         return (*spans, (start, len(self.text)))
-
-    @property
-    def genome_count(self) -> int:
-        return len(self.genome_spans)
 
 
 def _sentinel_value(sentinel: bytes | int) -> int:
@@ -279,7 +268,7 @@ def parse_fasta(source: str | IO[str], sentinel: bytes | int = DEFAULT_SENTINEL)
     chunks: list[bytes] = []
     name_line = 0
 
-    def flush(line_no: int) -> None:
+    def flush() -> None:
         if name is None:
             return
         seq = b"".join(chunks)
@@ -299,10 +288,9 @@ def parse_fasta(source: str | IO[str], sentinel: bytes | int = DEFAULT_SENTINEL)
         # The prefix encodes; one more character counts the line it starts.
         line = len((text[: exc.start] + ".").encode("latin-1").splitlines())
         raise FastaError(f"{text[exc.start]!r} on line {line} is not a latin-1 character") from None
-    line_no = 0
     for line_no, line in enumerate(data.splitlines(), start=1):
         if line.startswith(b">"):
-            flush(line_no)
+            flush()
             header = line[1:].split()
             if not header:
                 raise FastaError(f"empty record name on line {line_no}")
@@ -315,7 +303,7 @@ def parse_fasta(source: str | IO[str], sentinel: bytes | int = DEFAULT_SENTINEL)
                 raise FastaError(f"sequence data before any header on line {line_no}")
             if stripped:
                 chunks.append(stripped.upper())
-    flush(line_no + 1)
+    flush()
     if not records:
         raise FastaError("no FASTA records found")
     return records
@@ -355,26 +343,6 @@ def build_concatenation(
         raise ValueError(f"genomes with no matching leaf: {extras}")
 
     return Concatenation(sep.join(parts), sval)
-
-
-def genome_of_position(concatenation: Concatenation, pos: int) -> int | None:
-    """1-based ordinal of the genome covering text position pos, or None on a sentinel.
-
-    ``pos == len(text)`` maps to the last genome by convention, so the
-    end-of-text boundary attributes to it.
-    """
-    text_len = len(concatenation.text)
-    if not 0 <= pos <= text_len:
-        raise ValueError(f"position {pos} out of range 0..{text_len}")
-    spans = concatenation.genome_spans
-    if pos == text_len:
-        return len(spans)
-    idx = bisect_right(spans, pos, key=itemgetter(0)) - 1
-    if idx >= 0:
-        start, end = spans[idx]
-        if start <= pos < end:
-            return idx + 1
-    return None
 
 
 def reverse_concatenation(concatenation: Concatenation) -> Concatenation:

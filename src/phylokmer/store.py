@@ -11,10 +11,9 @@ text.  A final phrase that has no literal writes 0 in its place, so an
 index has exactly one file.  Load reads the columns back into an
 ``Lz77Parse``, with no object per phrase.  Everything else is derived on
 load: the text by copying each forward phrase from its source (an
-overlapping source by doubling the copied periods), phrase starts as
-running sums, the genomes as the runs between sentinels of that same text,
-each side's contexts, tries and grid by the same ``engine.build_side`` the
-build uses, and the LCA tables.
+overlapping source by doubling the copied periods), the genomes as the
+runs between sentinels of that same text, each side's contexts, tries and
+grid by the same ``engine.build_side`` the build uses, and the LCA tables.
 
 ``save_index`` writes a temporary file next to the target, fsyncs it and
 renames it over the target, so a failed save leaves the previous file as it
@@ -132,7 +131,7 @@ def _read_parse(src: _Reader, n: int, text: bytes | None = None) -> tuple[bytes,
         out.append(literal)
     del out[n:]
     _check(text is None or out == text, "reverse phrases do not spell the reversed text")
-    parse = Lz77Parse(lens, tuple(s - 1 for s in sources), literals, (*starts, n))
+    parse = Lz77Parse(lens, tuple(s - 1 for s in sources), literals)
     return (bytes(out) if text is None else text), parse
 
 

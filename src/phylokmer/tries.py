@@ -10,9 +10,11 @@ against stored text.  ``descend`` walks node to node and verifies every
 prefix length it reached with a single comparison; it returns the verified
 length and the chain of path nodes, from which the rank interval of any
 shorter length is one bisect away.  A set string that is a proper prefix
-of another ends at a terminal mark on the node at its depth; terminals
-sort before outgoing edges, so leaf ranks in left-to-right order equal the
-1-based sorted-set ranks.
+of another ends at the node at its depth and is that node's leftmost
+string, since it sorts before every extension, so ranks in left-to-right
+order equal the 1-based sorted-set ranks.  Nodes keep no terminal mark,
+which no descent reads: a node of depth d ends a string iff its leftmost
+string is d bytes long.
 """
 from __future__ import annotations
 
@@ -25,13 +27,12 @@ from .lz77 import common_prefix
 
 
 class _Node:
-    __slots__ = ("children", "terminal_rank", "lo", "hi", "depth")
+    __slots__ = ("children", "lo", "hi", "depth")
 
     def __init__(self, lo: int, hi: int, depth: int):
         # first byte of the edge -> child, in byte order; the leftmost string
         # under a child holds the edge label at [self.depth, child.depth).
         self.children: dict[int, _Node] = {}
-        self.terminal_rank: int | None = None
         self.lo = lo
         self.hi = hi
         self.depth = depth
@@ -46,10 +47,6 @@ class Locus:
     lo: int
     hi: int
     candidate: bool
-
-    @property
-    def rank_interval(self) -> tuple[int, int]:
-        return (self.lo, self.hi)
 
 
 class CompactTrie:
@@ -86,11 +83,9 @@ class CompactTrie:
                 parent.children[text[prev + parent.depth]] = mid
                 path.append(mid)
                 parent = mid
-            node = parent
             if length > parent.depth:  # else the empty string, at the root
                 node = parent.children[text[pos + parent.depth]] = _Node(rank, 0, length)
                 path.append(node)
-            node.terminal_rank = rank
             prev, prev_len = pos, length
         for node in path[1:]:
             node.hi = len(refs)

@@ -5,21 +5,16 @@ from __future__ import annotations
 import importlib.util
 import random
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from phylokmer.engine import HEAD_CAP, KmerIndex, QueryStats, SideIndex
 from phylokmer.lz77 import Lz77Parse
-from phylokmer.model import (
-    Concatenation,
-    GenomeRecord,
-    PhyloTree,
-    genome_of_position,
-    parse_newick,
-)
+from phylokmer.model import Concatenation, GenomeRecord, PhyloTree, parse_newick
 from phylokmer.oracle import _leaf_sequences
-from phylokmer.tries import CompactTrie, _Node
+from phylokmer.tries import CompactTrie
 
 FIXTURE_NEWICK = "((GATTACAT,(AGATACAT,GATACAT)),(GATTAGAT,GATTAGATA));"
 FIXTURE_NAMES = ("GATTACAT", "AGATACAT", "GATACAT", "GATTAGAT", "GATTAGATA")
@@ -43,6 +38,26 @@ def benchmark_generator():
     sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
+
+
+def genome_of_position(concatenation: Concatenation, pos: int) -> int | None:
+    """1-based ordinal of the genome covering text position pos, or None on a sentinel.
+
+    ``pos == len(text)`` maps to the last genome by convention, so the
+    end-of-text boundary attributes to it.
+    """
+    text_len = len(concatenation.text)
+    if not 0 <= pos <= text_len:
+        raise ValueError(f"position {pos} out of range 0..{text_len}")
+    spans = concatenation.genome_spans
+    if pos == text_len:
+        return len(spans)
+    idx = bisect_right(spans, pos, key=itemgetter(0)) - 1
+    if idx >= 0:
+        start, end = spans[idx]
+        if start <= pos < end:
+            return idx + 1
+    return None
 
 
 def reference_longest_match(text: bytes, i: int) -> int:
@@ -185,10 +200,22 @@ def reference_grid_points(
     return [(x, y, label) for (x, y), label in sorted(best.items())]
 
 
-def reference_trie(strings: list[bytes]) -> _Node:
+class ReferenceNode:
+    """A node of ``reference_trie``: a trie node's fields, and its own
+    terminal mark, the rank of the string that ends at it."""
+
+    def __init__(self, lo: int, hi: int, depth: int):
+        self.children: dict[int, ReferenceNode] = {}
+        self.terminal_rank: int | None = None
+        self.lo = lo
+        self.hi = hi
+        self.depth = depth
+
+
+def reference_trie(strings: list[bytes]) -> ReferenceNode:
     """Root of the compact trie over sorted, distinct ``strings``, built one
     node at a time by grouping each node's strings on their next byte."""
-    root = _Node(lo=1, hi=len(strings), depth=0)
+    root = ReferenceNode(lo=1, hi=len(strings), depth=0)
     if not strings:
         return root
     work = [(root, 0, len(strings))]
@@ -214,29 +241,44 @@ def reference_trie(strings: list[bytes]) -> _Node:
                 child_depth = depth
                 while child_depth < limit and a[child_depth] == b[child_depth]:
                     child_depth += 1
-            child = node.children[first] = _Node(lo=k + 1, hi=g, depth=child_depth)
+            child = node.children[first] = ReferenceNode(lo=k + 1, hi=g, depth=child_depth)
             work.append((child, k, g))
             k = g
     return root
 
 
-def trie_shape(node: _Node) -> list[tuple]:
-    """Every node's (lo, hi, depth, terminal_rank, child keys), in preorder."""
+def terminal_rank(trie: CompactTrie, node) -> int | None:
+    """The rank of the set string that ends at ``node``, or None.  Such a
+    string sorts before its extensions, so it is the node's leftmost
+    string, ``node.lo``, exactly when that string is ``node.depth`` long."""
+    if node.lo > node.hi:  # the root of an empty trie
+        return None
+    return node.lo if trie.refs[node.lo - 1][1] == node.depth else None
+
+
+def trie_shape(trie: CompactTrie | ReferenceNode) -> list[tuple]:
+    """Every node's (lo, hi, depth, terminal rank, child keys), in preorder:
+    a ``reference_trie``'s own marks, or a CompactTrie's derived ones."""
+    if isinstance(trie, CompactTrie):
+        root, mark = trie.root, lambda n: terminal_rank(trie, n)
+    else:
+        root, mark = trie, lambda n: n.terminal_rank
     out = []
-    stack = [node]
+    stack = [root]
     while stack:
         n = stack.pop()
-        out.append((n.lo, n.hi, n.depth, n.terminal_rank, list(n.children)))
+        out.append((n.lo, n.hi, n.depth, mark(n), list(n.children)))
         stack.extend(reversed(list(n.children.values())))
     return out
 
 
 def string_at(trie: CompactTrie, rank: int) -> bytes:
-    """The set string with the given 1-based rank, found by walking down to its terminal."""
+    """The set string with the given 1-based rank, found by walking down to
+    the node it ends at."""
     if not 1 <= rank <= trie.size:
         raise ValueError(f"rank {rank} out of range 1..{trie.size}")
     node = trie.root
-    while node.terminal_rank != rank:
+    while terminal_rank(trie, node) != rank:
         node = next(c for c in node.children.values() if c.lo <= rank <= c.hi)
     pos = trie.refs[rank - 1][0]
     return trie.text[pos : pos + node.depth]

@@ -10,6 +10,7 @@ from helpers import (
     candidate_prefixes,
     fixture_genomes,
     fixture_tree,
+    genome_of_position,
     max_prefix_at,
     max_suffix_of_phrase,
     random_instance,
@@ -27,11 +28,11 @@ from phylokmer.contexts import (
     grid_points,
     rank_slices,
 )
+from phylokmer.grid import ContextGrid
 from phylokmer.lz77 import lz77_parse
 from phylokmer.model import (
     GenomeRecord,
     build_concatenation,
-    genome_of_position,
     parse_newick,
     reverse_concatenation,
 )
@@ -67,8 +68,13 @@ def prefix_strings(text, prefixes):
     return tuple(text[pos : pos + n] for pos, n in prefixes.refs)
 
 
+def suffix_of(ctx):
+    """A context's suffix string, ``text[suffix_start:boundary_pos]``."""
+    return ctx.text[ctx.suffix_start : ctx.boundary_pos]
+
+
 def as_bytes(contexts):
-    return [(c.boundary_pos, c.suffix, c.prefix, c.genome) for c in contexts]
+    return [(c.boundary_pos, suffix_of(c), c.prefix, c.genome) for c in contexts]
 
 
 def test_max_suffix_of_phrase():
@@ -97,15 +103,15 @@ def test_fixture_context_sets():
     suffixes, prefixes, contexts = build_context_sets(cat, cat.text[::-1], parse)
     assert suffix_strings(cat.text, suffixes) == FIXTURE_SUFFIXES
     assert prefix_strings(cat.text, prefixes) == FIXTURE_PREFIXES
-    assert {x for c, x in zip(contexts, suffixes.ranks) if c.suffix == b"GATT"} == {9}
+    assert {x for c, x in zip(contexts, suffixes.ranks) if suffix_of(c) == b"GATT"} == {9}
     assert {y for c, y in zip(contexts, prefixes.ranks) if c.prefix == b""} == {1}
     assert len(contexts) == 10
 
     by_boundary = {c.boundary_pos: c for c in contexts}
-    assert by_boundary[44].suffix == b"GATTAGATA"
+    assert suffix_of(by_boundary[44]) == b"GATTAGATA"
     assert by_boundary[44].prefix == b""
     assert by_boundary[44].genome == 5
-    assert by_boundary[30].suffix == b"GATT"
+    assert suffix_of(by_boundary[30]) == b"GATT"
     assert by_boundary[30].prefix == b"AGAT"
     assert by_boundary[30].genome == 4
     # Boundaries preceded by sentinel-final phrases emit nothing.
@@ -128,8 +134,9 @@ def test_fixture_grid_points():
     cat = fixture_concat()
     parse = lz77_parse(cat.text)
     suffixes, prefixes, contexts = build_context_sets(cat, cat.text[::-1], parse)
-    points = grid_points(contexts, suffixes, prefixes, "min", fixture_tree().leaves)
-    assert points == FIXTURE_POINTS
+    points = grid_points(contexts, suffixes, prefixes, fixture_tree().leaves)
+    assert len(points) == len(contexts)
+    assert ContextGrid(points, "min").points == tuple(FIXTURE_POINTS)
 
 
 def test_single_genome_contexts():
@@ -153,10 +160,12 @@ def test_grid_point_aggregation():
         BoundaryContext(boundary_pos=9, suffix_start=8, prefix_end=10, genome=2, text=text),
     ]
     assert as_bytes(contexts) == [(3, b"A", b"B", 1), (9, b"A", b"B", 2)]
-    assert grid_points(contexts, suffixes, prefixes, "min", (3, 7)) == [(1, 1, 3)]
-    assert grid_points(contexts, suffixes, prefixes, "max", (3, 7)) == [(1, 1, 7)]
+    points = grid_points(contexts, suffixes, prefixes, (3, 7))
+    assert points == [(1, 1, 3), (1, 1, 7)]
+    assert ContextGrid(points, "min").points == ((1, 1, 3),)
+    assert ContextGrid(points, "max").points == ((1, 1, 7),)
     with pytest.raises(ValueError):
-        grid_points(contexts, suffixes, prefixes, "sum", (3, 7))
+        ContextGrid(points, "sum")
 
 
 def test_context_invariants_on_random_instances():
@@ -173,14 +182,15 @@ def test_context_invariants_on_random_instances():
         seen_suffixes = set()
         seen_prefixes = set()
         for ctx in contexts:
+            suffix = suffix_of(ctx)
             assert ctx.boundary_pos in boundary_set
-            assert ctx.suffix
-            assert sentinel not in ctx.suffix and sentinel not in ctx.prefix
+            assert suffix
+            assert sentinel not in suffix and sentinel not in ctx.prefix
             # The context must read back literally around its boundary.
             b = ctx.boundary_pos
-            assert cat.text[b - len(ctx.suffix) : b + len(ctx.prefix)] == ctx.suffix + ctx.prefix
+            assert cat.text[b - len(suffix) : b + len(ctx.prefix)] == suffix + ctx.prefix
             assert genome_of_position(cat, b - 1) == ctx.genome
-            seen_suffixes.add(ctx.suffix)
+            seen_suffixes.add(suffix)
             seen_prefixes.add(ctx.prefix)
 
         # Every ranked string is witnessed by at least one context.
@@ -192,9 +202,11 @@ def test_context_invariants_on_random_instances():
         assert list(suffix_set) == sorted(suffix_set, key=lambda s: s[::-1])
         assert list(prefix_set) == sorted(prefix_set)
 
-        points = grid_points(contexts, suffixes, prefixes, "min", tree.leaves)
-        assert len(points) <= len(contexts)
-        for x, y, label in points:
+        points = grid_points(contexts, suffixes, prefixes, tree.leaves)
+        assert len(points) == len(contexts)
+        folded = ContextGrid(points, "min").points
+        assert len(folded) <= len(contexts)
+        for x, y, label in folded:
             assert 1 <= x <= len(suffixes.refs)
             assert 1 <= y <= len(prefixes.refs)
             assert label in tree.leaves
@@ -305,12 +317,13 @@ def test_position_ranking_matches_byte_sorting(instance):
         assert suffixes.ranks == [ref_suffixes.index(c.suffix) + 1 for c in ref_contexts]
         assert prefixes.ranks == [ref_prefixes.index(c.prefix) + 1 for c in ref_contexts]
         for aggregate in ("min", "max"):
-            assert grid_points(contexts, suffixes, prefixes, aggregate, leaves) == (
+            points = grid_points(contexts, suffixes, prefixes, leaves)
+            assert ContextGrid(points, aggregate).points == tuple(
                 reference_grid_points(ref_contexts, ref_suffixes, ref_prefixes, aggregate, leaves)
             )
         # The tries the engine builds from these refs, against the byte strings.
         reversed_suffixes = [s[::-1] for s in ref_suffixes]
         via_refs = build_trie(text=side.text[::-1], refs=suffixes.refs)
-        assert trie_shape(via_refs.root) == trie_shape(reference_trie(reversed_suffixes))
+        assert trie_shape(via_refs) == trie_shape(reference_trie(reversed_suffixes))
         via_refs = build_trie(text=side.text, refs=prefixes.refs)
-        assert trie_shape(via_refs.root) == trie_shape(reference_trie(list(ref_prefixes)))
+        assert trie_shape(via_refs) == trie_shape(reference_trie(list(ref_prefixes)))

@@ -82,8 +82,9 @@ def test_validation():
         ContextGrid([(0, 1, 5)], "min")
     with pytest.raises(ValueError):
         ContextGrid([(1, 0, 5)], "min")
-    with pytest.raises(ValueError):
-        ContextGrid([(1, 1, 5), (1, 1, 6)], "min")
+    # Repeated cells fold into their best point.
+    assert ContextGrid([(1, 1, 5), (1, 1, 6)], "min").points == ((1, 1, 5),)
+    assert ContextGrid([(1, 1, 6), (1, 1, 5)], "max").points == ((1, 1, 6),)
     with pytest.raises(ValueError):
         ContextGrid([(1, 1, 5)], "median")
 
@@ -171,16 +172,25 @@ def test_partial_blocks_at_both_ends(aggregator, pick):
         max_size=70,
         unique_by=lambda p: p[:2],
     ),
+    repeats=st.lists(st.tuples(st.integers(0, 69), st.integers(1, 40)), max_size=30),
     aggregator=st.sampled_from(["min", "max"]),
     boxes=st.lists(st.tuples(*[st.integers(-1, 15)] * 4), min_size=1, max_size=20),
 )
-def test_matches_brute_force_scan(points, aggregator, boxes):
-    # Shared xs, shared ys and repeated labels; boxes may be empty, inverted
-    # (x1 > x2 or y1 > y2) or overhang the rank space on either side.
+def test_matches_brute_force_scan(points, repeats, aggregator, boxes):
+    # Shared xs, shared ys and repeated labels; repeated cells with other
+    # labels, which the grid folds into one point each; boxes may be empty,
+    # inverted (x1 > x2 or y1 > y2) or overhang the rank space on either side.
     pick = min if aggregator == "min" else max
+    if points:
+        points = points + [(*points[i % len(points)][:2], label) for i, label in repeats]
+    cells: dict[tuple[int, int], list[int]] = {}
+    for x, y, label in points:
+        cells.setdefault((x, y), []).append(label)
+    folded = tuple(sorted((x, y, pick(labels)) for (x, y), labels in cells.items()))
     for small, block in SIZES:
         with grid_sizes(small, block):
             grid = ContextGrid(points, aggregator)
+            assert grid.points == folded and grid.size == len(cells)
             for box in boxes:
                 assert grid.range_best(*box) == scan_best(points, box, pick), (small, block, box)
 

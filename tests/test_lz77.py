@@ -145,11 +145,12 @@ def _assert_tiles(parse, text):
     literal, if any), the last one ends the text, and the columns agree."""
     assert len(parse.match_lens) == len(parse.sources) == parse.z
     assert len(parse.literals) in (parse.z - 1, parse.z)
+    bounds = parse.boundary_positions
     pos = 0
     for p, length in enumerate(parse.match_lens):
-        assert parse.boundary_positions[p] == pos
+        assert bounds[p] == pos
         pos += length + (p < len(parse.literals))
-    assert parse.boundary_positions[parse.z :] == (pos,) == (len(text),)
+    assert bounds[parse.z :] == (pos,) == (len(text),)
 
 
 def test_phrase_lengths_tile_the_text():

@@ -10,6 +10,7 @@ from helpers import (
     FIXTURE_TEXT,
     fixture_genomes,
     fixture_tree,
+    genome_of_position,
     random_tree_newick,
 )
 from phylokmer.model import (
@@ -17,7 +18,6 @@ from phylokmer.model import (
     GenomeRecord,
     NewickError,
     build_concatenation,
-    genome_of_position,
     parse_fasta,
     parse_newick,
     reverse_concatenation,
@@ -46,7 +46,7 @@ def test_single_leaf_trees():
         assert tree.vertex_count == 1
         assert tree.root == 1
         assert tree.leaves == (1,)
-        assert tree.label_of(1) == "A"
+        assert tree.labels[1] == "A"
 
 
 def test_unary_chains_collapse():
@@ -59,8 +59,8 @@ def test_unary_chains_collapse():
 def test_internal_labels_and_branch_lengths():
     tree = parse_newick("((A:0.1,B:0.2)ab:1.5,C)root;")
     assert tree.leaf_labels() == ("A", "B", "C")
-    assert tree.label_of(2) == "ab"
-    assert tree.label_of(tree.root) == "root"
+    assert tree.labels[2] == "ab"
+    assert tree.labels[tree.root] == "root"
 
 
 def test_in_order_property_on_random_binary_trees():
@@ -178,7 +178,7 @@ def test_build_concatenation_fixture():
     cat = build_concatenation(tree, fixture_genomes())
     assert cat.text == FIXTURE_TEXT
     assert len(cat.text) == 44
-    assert cat.genome_count == 5
+    assert len(cat.genome_spans) == 5
     assert cat.genome_spans[0] == (0, 8)
     assert cat.genome_spans[4] == (35, 44)
 
@@ -235,9 +235,9 @@ def test_reverse_concatenation():
     cat = build_concatenation(tree, fixture_genomes())
     rev = reverse_concatenation(cat)
     assert rev.text == cat.text[::-1]
-    assert rev.genome_count == cat.genome_count
+    g = len(cat.genome_spans)
+    assert len(rev.genome_spans) == g
     n = len(cat.text)
-    g = cat.genome_count
     for pos in range(n):
         fwd = genome_of_position(cat, n - 1 - pos)
         back = genome_of_position(rev, pos)
@@ -271,7 +271,7 @@ def test_genome_bounds_are_read_off_the_text(instance):
         spans.append((start, start + lengths[label]))
         start += lengths[label] + 1
     assert cat.genome_spans == tuple(spans)
-    assert cat.genome_count == len(tree.leaves)
+    assert len(cat.genome_spans) == len(tree.leaves)
     n = len(cat.text)
     mirrored = tuple((n - end, n - start) for start, end in reversed(spans))
     assert reverse_concatenation(cat).genome_spans == mirrored

@@ -114,8 +114,8 @@ def test_random_round_trips(tmp_path):
         ):
             assert side.text == built.text == cat.text
             assert side.parse == built.parse
-            assert side.suffix_refs == built.suffix_refs
-            assert side.prefix_refs == built.prefix_refs
+            assert side.suffix_trie.refs == built.suffix_trie.refs
+            assert side.prefix_trie.refs == built.prefix_trie.refs
             assert side.grid.points == built.grid.points
             # The refs point at exactly the context layer's strings.
             suffixes, prefixes, _ = reference_context_sets(cat, lz77_parse(cat.text))

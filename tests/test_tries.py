@@ -16,6 +16,11 @@ def brute_interval(strings, pattern):
     return (ranks[0], ranks[-1]) if ranks else None
 
 
+def rank_interval(locus):
+    """The closed 1-based rank interval of a locus' subtree."""
+    return (locus.lo, locus.hi)
+
+
 def descend_verified(trie, pattern):
     locus = trie.blind_descend(pattern)
     if locus is None:
@@ -26,32 +31,32 @@ def descend_verified(trie, pattern):
 def test_root_locus_spans_everything():
     trie = build_trie(PREFIX_STRINGS)
     root = trie.root_locus()
-    assert root.rank_interval == (1, 8)
+    assert rank_interval(root) == (1, 8)
     assert root.matched_depth == 0
     assert not root.candidate
 
 
 def test_fixture_prefix_trie_descents():
     trie = build_trie(PREFIX_STRINGS)
-    assert descend_verified(trie, b"AGAT").rank_interval == (2, 2)
-    assert descend_verified(trie, b"AT").rank_interval == (3, 5)
+    assert rank_interval(descend_verified(trie, b"AGAT")) == (2, 2)
+    assert rank_interval(descend_verified(trie, b"AT")) == (3, 5)
     assert descend_verified(trie, b"G") is None
-    assert descend_verified(trie, b"").rank_interval == (1, 8)
-    assert descend_verified(trie, b"TACAT").rank_interval == (7, 7)
+    assert rank_interval(descend_verified(trie, b"")) == (1, 8)
+    assert rank_interval(descend_verified(trie, b"TACAT")) == (7, 7)
 
 
 def test_fixture_reversed_suffix_trie_descents():
     trie = build_trie(REV_SUFFIX_STRINGS)
-    assert descend_verified(trie, b"G").rank_interval == (6, 7)
+    assert rank_interval(descend_verified(trie, b"G")) == (6, 7)
     assert descend_verified(trie, b"GAT") is None
-    assert descend_verified(trie, b"ATAG").rank_interval == (4, 4)
+    assert rank_interval(descend_verified(trie, b"ATAG")) == (4, 4)
 
 
 def test_terminal_string_sorts_before_extensions():
     trie = build_trie([b"A", b"AB", b"ABC"])
-    assert descend_verified(trie, b"A").rank_interval == (1, 3)
-    assert descend_verified(trie, b"AB").rank_interval == (2, 3)
-    assert descend_verified(trie, b"ABC").rank_interval == (3, 3)
+    assert rank_interval(descend_verified(trie, b"A")) == (1, 3)
+    assert rank_interval(descend_verified(trie, b"AB")) == (2, 3)
+    assert rank_interval(descend_verified(trie, b"ABC")) == (3, 3)
     assert descend_verified(trie, b"ABCD") is None
 
 
@@ -61,10 +66,10 @@ def test_blind_descent_skips_need_verification():
     trie = build_trie(PREFIX_STRINGS)
     blind = trie.blind_descend(b"AGXT")
     assert blind is not None and blind.candidate
-    assert blind.rank_interval == (2, 2)
+    assert rank_interval(blind) == (2, 2)
     assert trie.verify_locus(blind, b"AGXT") is None
     good = trie.verify_locus(trie.blind_descend(b"AGAT"), b"AGAT")
-    assert good.rank_interval == (2, 2)
+    assert rank_interval(good) == (2, 2)
     assert not good.candidate
 
 
@@ -103,7 +108,7 @@ def test_extension_loci_match_individual_descents():
                 assert single is None
             else:
                 assert single is not None
-                assert single.rank_interval == loci[length].rank_interval
+                assert rank_interval(single) == rank_interval(loci[length])
                 assert single.matched_depth == loci[length].matched_depth
         # Once dead, extensions of this same descent stay dead.
         seen_dead = False
@@ -134,7 +139,7 @@ def test_verified_descents_match_brute_force():
             if expected is None:
                 assert got is None
             else:
-                assert got is not None and got.rank_interval == expected
+                assert got is not None and rank_interval(got) == expected
 
 
 def test_text_access_extraction_matches_inline_storage():
@@ -165,7 +170,7 @@ def test_text_access_extraction_matches_inline_storage():
             if a is None:
                 assert b is None
             else:
-                assert b is not None and a.rank_interval == b.rank_interval
+                assert b is not None and rank_interval(a) == rank_interval(b)
 
 
 def _assert_intervals_match_verified_descents(trie, pattern):
@@ -177,7 +182,7 @@ def _assert_intervals_match_verified_descents(trie, pattern):
             assert length >= len(lo), (pattern, length)
         else:
             assert length < len(lo), (pattern, length)
-            assert (lo[length], hi[length]) == want.rank_interval
+            assert (lo[length], hi[length]) == rank_interval(want)
 
 
 def test_prefix_intervals_match_descend_and_verify():
@@ -259,7 +264,7 @@ def _assert_descend_matches_verified_descents(trie, pattern):
     for L in range(1, length + 1):
         want = descend_verified(trie, pattern[:L])
         node = nodes[bisect_left(depths, L)]
-        assert want is not None and (node.lo, node.hi) == want.rank_interval, (pattern, L)
+        assert want is not None and (node.lo, node.hi) == rank_interval(want), (pattern, L)
     if length < len(pattern):
         assert descend_verified(trie, pattern[: length + 1]) is None, (pattern, length)
 
@@ -339,7 +344,7 @@ def test_trie_from_refs_matches_per_depth_reference():
     for trial in range(400):
         strings = _random_sorted_set(rng, trial)
         want = trie_shape(reference_trie(strings))
-        assert trie_shape(build_trie(strings).root) == want, strings
+        assert trie_shape(build_trie(strings)) == want, strings
         # The same strings as refs scattered through one text, in any order.
         order = list(range(len(strings)))
         rng.shuffle(order)
@@ -349,7 +354,7 @@ def test_trie_from_refs_matches_per_depth_reference():
             text += bytes(rng.choice(b"ACGT") for _ in range(rng.randint(0, 3)))
             refs[r] = (len(text), len(strings[r]))
             text += strings[r]
-        assert trie_shape(build_trie(text=text, refs=refs).root) == want, strings
+        assert trie_shape(build_trie(text=text, refs=refs)) == want, strings
 
 
 def test_build_from_refs_rejects_unsorted_or_duplicate_strings():
