@@ -28,7 +28,7 @@ the reverse side is not asked about a k-mer the forward side found nowhere.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import contexts as contexts_mod
@@ -44,8 +44,9 @@ from .model import (
 )
 from .tries import CompactTrie, build_trie
 
-# Longest head in a head table.  Any head length up to the one k allows
-# keeps the live-cut test exact; a cap bounds the tables at six per side.
+# Longest head a sweep asks a trie for.  Any head length up to the one k
+# allows keeps the live-cut test exact; a cap bounds the head sets at six
+# per trie.
 HEAD_CAP = 32
 
 
@@ -61,7 +62,8 @@ class SideIndex:
     coordinate.  Descending the suffix trie with a reversed k-mer fragment
     yields the co-lex rank range of suffixes ending with that fragment.
     ``suffix_set`` and ``prefix_set`` read the strings back from the tries
-    on each access, for tests and counts only.
+    on each access, for tests and counts only.  The live-cut test of a
+    sweep reads each trie's ``heads``, which the trie keeps.
     """
 
     text: bytes
@@ -70,19 +72,6 @@ class SideIndex:
     prefix_trie: CompactTrie
     grid: ContextGrid
     is_reverse: bool
-    heads: dict[int, tuple] = field(default_factory=dict, compare=False, repr=False)
-
-    def head_tables(self, h: int) -> tuple[frozenset[bytes], frozenset[bytes]]:
-        """The first ``h`` bytes of each reversed suffix string and each prefix
-        string of ``h`` bytes or more, read from the two tries' texts; made
-        on first use, kept in ``heads``.  ``h`` is at most ``HEAD_CAP``, so
-        the tables stay small for any k."""
-        if h not in self.heads:
-            self.heads[h] = tuple(
-                frozenset(trie.text[p : p + h] for p, n in trie.refs if n >= h)
-                for trie in (self.suffix_trie, self.prefix_trie)
-            )
-        return self.heads[h]
 
     @property
     def suffix_set(self) -> tuple[bytes, ...]:
@@ -223,7 +212,8 @@ def _sweep(
     if not open_:
         return best
     h = min(1 << ((k + 1).bit_length() - 2), HEAD_CAP)
-    alpha_heads, beta_heads = side.head_tables(h)
+    alpha_heads = side.suffix_trie.heads(h)
+    beta_heads = side.prefix_trie.heads(h)
     live = [
         c
         for c in range(open_[0] + 1, open_[-1] + k + 1)
@@ -232,7 +222,7 @@ def _sweep(
     suffix_descend = side.suffix_trie.descend
     prefix_descend = side.prefix_trie.descend
     # j == k leaves no beta part: its y-range is the whole prefix trie, the root's.
-    whole = (0 if side.prefix_trie.size else -1), [0], [side.prefix_trie.root]
+    whole = prefix_descend(b"")
     range_best = side.grid.range_best
     leaves = index.tree.leaves
     target = leaves[-1] if rev else leaves[0]

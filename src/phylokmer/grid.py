@@ -4,7 +4,9 @@ A grid holds one point per cell: of points given at one (x, y), it keeps
 the one with the least (min grid) or greatest (max grid) label, which is
 what any box holding that cell answers over all of them.  The points are
 three columns in x order, ties in y order: xs, ys and ``sign * label``,
-so a max grid is a min grid on negated labels.  With
+so a max grid is a min grid on negated labels.  One sort of the triples
+``(x, y, sign * label)`` orders the columns and puts each cell's best
+point first, the one kept.  With
 ``start[x]`` the index of the first point with an x of at least x, the
 points of a box's x-range are the run ``start[x1] : start[x2 + 1]``.
 
@@ -45,19 +47,16 @@ class ContextGrid:
     def __init__(self, points: Iterable[tuple[int, int, int]], aggregator: str):
         if aggregator not in ("min", "max"):
             raise ValueError(f"aggregator must be 'min' or 'max', got {aggregator!r}")
-        self.aggregator = aggregator
         sign = self._sign = 1 if aggregator == "min" else -1
-        # Sorted so that each cell's best point comes first; only it is kept.
-        pts = sorted(points, reverse=sign < 0)
+        # Each cell's best point sorts first; only it is kept.
+        pts = sorted((x, y, sign * label) for x, y, label in points)
         pairs = zip(pts, [(None, None, None), *pts])
         pts = [p for p, (x, y, _) in pairs if y != p[1] or x != p[0]]
-        if sign < 0:
-            pts.reverse()
         xs = self._xs = [x for x, _, _ in pts]
         ys = self._ys = [y for _, y, _ in pts]
         if xs and (xs[0] < 1 or min(ys) < 1):
             raise ValueError(f"points outside 1-based rank space: least x {xs[0]}, y {min(ys)}")
-        self._labels = [sign * label for _, _, label in pts]
+        self._labels = [label for _, _, label in pts]
         self.size = len(xs)
         counts = [0] * (xs[-1] + 2 if xs else 1)
         for x in xs:

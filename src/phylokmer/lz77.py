@@ -31,6 +31,7 @@ is exact: every source below ``F`` of a match of ``q`` bytes or more holds
 the gram, so it is listed, and the finds see every source from ``F`` on.
 A gram not listed, or listed more often than the lookup is worth, takes
 the finds from 0, so matches shorter than ``q`` are found as before.
+One helper, ``_list_grams``, lists positions into either index.
 
 The frontier moves by ski rental.  The finds' bytes scanned past ``F`` are
 counted for the phrases that a longer index would serve: those whose match
@@ -118,6 +119,17 @@ def common_prefix(text: bytes, a: int, b: int, limit: int) -> int:
     return done
 
 
+def _list_grams(index: dict[bytes, list[int]], text: bytes, positions: range, width: int) -> None:
+    """Append each of ``positions``, ascending, to the list of its
+    ``width``-byte gram in ``index``."""
+    for p in positions:
+        gram = text[p : p + width]
+        if gram in index:
+            index[gram].append(p)
+        else:
+            index[gram] = [p]
+
+
 def lz77_parse(text: bytes) -> Lz77Parse:
     """Factor ``text`` greedily left to right.  Errors on empty input.
 
@@ -158,12 +170,7 @@ def lz77_parse(text: bytes) -> Lz77Parse:
     n = len(text)
     find = text.find
     grams: dict[bytes, list[int]] = {}
-    for p in range(0, n - GRAM + 1, STEP):
-        gram = text[p : p + GRAM]
-        if gram in grams:
-            grams[gram].append(p)
-        else:
-            grams[gram] = [p]
+    _list_grams(grams, text, range(0, n - GRAM + 1, STEP), GRAM)
     short: dict[bytes, list[int]] = {}  # q-gram -> its positions below frontier
     q = frontier = rent = 0
     match_lens: list[int] = []
@@ -202,12 +209,7 @@ def lz77_parse(text: bytes) -> Lz77Parse:
                 if not q:
                     # Every byte value's first occurrence is a literal.
                     q = max(SHORT, round(log(n, max(2, len(set(literals))))) - 3)
-                for p in range(frontier, min(i, n - q + 1)):
-                    gram = text[p : p + q]
-                    if gram in short:
-                        short[gram].append(p)
-                    else:
-                        short[gram] = [p]
+                _list_grams(short, text, range(frontier, min(i, n - q + 1)), q)
                 frontier, rent = i, 0
             match_len, source, start = 0, -1, 0
             listed = short.get(text[i : i + q]) if frontier else None

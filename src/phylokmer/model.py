@@ -3,9 +3,10 @@
 Vertices are identified by their 1-based in-order numbers: a vertex is
 numbered directly after its first child subtree, so leaf numbers increase
 left to right and, for a strictly binary tree with g leaves, leaf i gets
-number 2i - 1.  All downstream structures speak these numbers.
-``parse_newick`` gives them while it reads the string, and every tree,
-parsed or loaded from an index file, is checked by ``tree_from_parents``.
+number 2i - 1.  All downstream structures speak these numbers.  One
+walk, ``_in_order``, defines them: ``parse_newick`` renumbers the vertices
+it read by that walk, and ``tree_from_parents`` checks every tree, parsed
+or loaded from an index file, against it.
 """
 from __future__ import annotations
 
@@ -103,9 +104,10 @@ def parse_newick(source: str | IO[str]) -> PhyloTree:
     collapse onto their only child.  Leaf labels must be unique and
     non-empty; quoted labels and comments are not supported.
 
-    One pass numbers the vertices in order: a leaf when it is read, a group
-    at its first comma, right after its first child's subtree.  A group
-    without a comma is unary and collapses onto its child at ``)``.
+    One pass records each vertex when its subtree closes: a leaf when it is
+    read, a group at its ``)``, where a group with one child collapses onto
+    it instead.  The vertices are then renumbered by the in-order walk that
+    ``tree_from_parents`` checks.
     """
     text = _read_text(source)
     parent: list[int] = [0]
@@ -125,86 +127,69 @@ def parse_newick(source: str | IO[str]) -> PhyloTree:
                 raise NewickError(f"bad branch length at offset {start}") from None
         return label
 
-    # One [vertex, first child] per open group, the vertex 0 until the first
-    # comma numbers it; the bottom entry holds the whole tree.  filled says
-    # whether the innermost group's current slot holds a subtree yet.
-    stack = [[0, 0]]
+    # The closed children of each open group; the bottom entry holds the
+    # whole tree.  filled says whether the innermost group's current slot
+    # holds a subtree yet.
+    stack: list[list[int]] = [[]]
     filled = False
-
-    def fill_slot(child: int) -> None:
-        nonlocal filled
-        group = stack[-1]
-        if group[0]:
-            parent[child] = group[0]
-        else:
-            group[1] = child
-        filled = True
-
-    saw_semicolon = False
     while pos < len(text):
         ch = text[pos]
         if ch.isspace():
             pos += 1
         elif ch == ";":
-            pos += 1
-            saw_semicolon = True
             break
-        elif ch == ",":
+        elif ch in ",)":
             if len(stack) < 2:
-                raise NewickError(f"comma outside a group at offset {pos}")
+                raise NewickError(f"unbalanced ',' / ')' at offset {pos}")
             if not filled:
                 raise NewickError(f"empty group slot at offset {pos}")
-            group = stack[-1]
-            if not group[0]:
-                group[0] = parent[group[1]] = len(parent)
-                parent.append(0)
-                labels.append(None)
-            filled = False
             pos += 1
-        elif ch == ")":
-            if len(stack) < 2:
-                raise NewickError(f"unbalanced ')' at offset {pos}")
-            if not filled:
-                raise NewickError(f"empty group slot at offset {pos}")
-            vertex, first = stack.pop()
-            pos += 1
-            label = read_label()
-            if vertex:
-                labels[vertex] = label or None
-            fill_slot(vertex or first)
+            filled = ch == ")"
+            if filled:
+                kids = stack.pop()
+                label = read_label()
+                vertex = kids[0]
+                if len(kids) > 1:  # else the group collapses onto its child
+                    vertex = len(parent)
+                    parent.append(0)
+                    labels.append(label or None)
+                    for kid in kids:
+                        parent[kid] = vertex
+                stack[-1].append(vertex)
         elif filled:
             raise NewickError(f"missing ',' at offset {pos}")
         elif ch == "(":
-            stack.append([0, 0])
+            stack.append([])
             pos += 1
         elif ch == ":":
             raise NewickError(f"unexpected character {ch!r} at offset {pos}")
         else:
             parent.append(0)
             labels.append(read_label())
-            fill_slot(len(parent) - 1)
-
-    if not saw_semicolon:
+            stack[-1].append(len(parent) - 1)
+            filled = True
+    else:
         raise NewickError("missing terminating ';'")
-    if text[pos:].strip():
+    if text[pos + 1 :].strip():
         raise NewickError("trailing content after ';'")
     if len(stack) != 1:
         raise NewickError("unbalanced '('")
     if not filled:
         raise NewickError("expected exactly one top-level subtree")
+    # Vertex order[r] becomes vertex r.
+    order = [0, *_in_order(parent)[0]]
+    number = {v: rank for rank, v in enumerate(order)}
     try:
-        return tree_from_parents(parent, labels)
+        return tree_from_parents([number[parent[v]] for v in order], [labels[v] for v in order])
     except ValueError as exc:
         raise NewickError(str(exc)) from None
 
 
-def tree_from_parents(parent: Sequence[int], labels: Sequence[str | None]) -> PhyloTree:
-    """The tree with these parents and labels, slot 0 unused; children, root
-    and leaves are derived.
-
-    Raises ValueError unless the tree has one root and no cycle, its vertices
-    are numbered in order, and its leaf labels are unique and non-empty.
-    """
+def _in_order(parent: Sequence[int]) -> tuple[list[int], list[list[int]]]:
+    """The vertices of the tree with these parents, slot 0 unused, in order
+    from the root, each right after its first child's subtree, and the
+    children of each vertex.  Raises ValueError unless the tree has one
+    root and no cycle."""
     count = len(parent) - 1
     children: list[list[int]] = [[] for _ in range(count + 1)]
     for v in range(1, count + 1):
@@ -215,8 +200,8 @@ def tree_from_parents(parent: Sequence[int], labels: Sequence[str | None]) -> Ph
     roots, children[0] = children[0], []
     if len(roots) != 1:
         raise ValueError(f"tree has {len(roots)} roots")
-    # In-order walk from the root, a vertex right after its first child's
-    # subtree (-v marks that slot).  Vertices on a cycle are never reached.
+    # -v marks the slot of v, after its first child's subtree.  Vertices on
+    # a cycle are never reached.
     order = []
     work = [roots[0]]
     while work:
@@ -228,9 +213,20 @@ def tree_from_parents(parent: Sequence[int], labels: Sequence[str | None]) -> Ph
             order.append(abs(v))
     if len(order) != count:
         raise ValueError("tree has a cycle")
+    return order, children
+
+
+def tree_from_parents(parent: Sequence[int], labels: Sequence[str | None]) -> PhyloTree:
+    """The tree with these parents and labels, slot 0 unused; children, root
+    and leaves are derived.
+
+    Raises ValueError unless the tree has one root and no cycle, its vertices
+    are numbered in order, and its leaf labels are unique and non-empty.
+    """
+    order, children = _in_order(parent)
     # The engine needs leaf numbers in left-to-right order: min and max
     # leaves of a genome set then span the smallest subtree holding it.
-    if order != list(range(1, count + 1)):
+    if order != list(range(1, len(parent))):
         raise ValueError("tree vertices are not numbered in order")
     leaves = tuple(v for v in order if not children[v])
     seen: set[str] = set()
@@ -245,7 +241,7 @@ def tree_from_parents(parent: Sequence[int], labels: Sequence[str | None]) -> Ph
         parent=tuple(parent),
         children=tuple(map(tuple, children)),
         labels=tuple(labels),
-        root=roots[0],
+        root=parent.index(0, 1),
         leaves=leaves,
     )
 

@@ -14,7 +14,8 @@ of another ends at the node at its depth and is that node's leftmost
 string, since it sorts before every extension, so ranks in left-to-right
 order equal the 1-based sorted-set ranks.  Nodes keep no terminal mark,
 which no descent reads: a node of depth d ends a string iff its leftmost
-string is d bytes long.
+string is d bytes long.  ``heads(h)``, the set of the strings' first h
+bytes, is made on its first call and kept on the trie.
 """
 from __future__ import annotations
 
@@ -58,6 +59,7 @@ class CompactTrie:
         self.refs = refs
         self.size = len(refs)
         self.root = self._build(text, refs)
+        self._heads: dict[int, frozenset[bytes]] = {}  # h -> heads(h)
 
     @staticmethod
     def _build(text: bytes, refs: Sequence[tuple[int, int]]) -> _Node:
@@ -90,6 +92,13 @@ class CompactTrie:
         for node in path[1:]:
             node.hi = len(refs)
         return root
+
+    def heads(self, h: int) -> frozenset[bytes]:
+        """The first ``h`` bytes of each string of ``h`` bytes or more; made
+        on first use, kept in ``_heads``."""
+        if h not in self._heads:
+            self._heads[h] = frozenset(self.text[p : p + h] for p, n in self.refs if n >= h)
+        return self._heads[h]
 
     def root_locus(self) -> Locus | None:
         return Locus(matched_depth=0, lo=1, hi=self.size, candidate=False) if self.size else None

@@ -10,10 +10,10 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from phylokmer.engine import HEAD_CAP, KmerIndex, QueryStats, SideIndex
+from phylokmer.engine import HEAD_CAP, KmerIndex, KmerResult, QueryStats, SideIndex
 from phylokmer.lz77 import Lz77Parse
 from phylokmer.model import Concatenation, GenomeRecord, PhyloTree, parse_newick
-from phylokmer.oracle import _leaf_sequences
+from phylokmer.oracle import _leaf_sequences, _walk_lca
 from phylokmer.tries import CompactTrie
 
 FIXTURE_NEWICK = "((GATTACAT,(AGATACAT,GATACAT)),(GATTAGAT,GATTAGATA));"
@@ -113,6 +113,28 @@ def kmer_occurrences(tree: PhyloTree, genomes, kmer: bytes) -> set[int]:
     if not kmer:
         raise ValueError("empty k-mer")
     return {i + 1 for i, seq in enumerate(_leaf_sequences(tree, genomes)) if kmer in seq}
+
+
+def table_classify(
+    tree: PhyloTree, genomes: Iterable[GenomeRecord], pattern: bytes, k: int
+) -> list[KmerResult]:
+    """Reference answers from a table of the genomes' k-mers for this one k.
+
+    Each k-mer keeps the first and last genome, in leaf order, that holds
+    it; its answer is the parent-walk LCA of their two leaves, None for a
+    k-mer in no genome.  No substring search is shared with ``naive_classify``.
+    """
+    table: dict[bytes, list[int]] = {}
+    for g, seq in enumerate(_leaf_sequences(tree, genomes)):
+        for i in range(len(seq) - k + 1):
+            table.setdefault(seq[i : i + k], [g, g])[1] = g
+    results = []
+    for i in range(len(pattern) - k + 1):
+        kmer = pattern[i : i + k]
+        span = table.get(kmer)
+        answer = None if span is None else _walk_lca(tree, *(tree.leaves[g] for g in span))
+        results.append(KmerResult(position=i + 1, kmer=kmer, answer=answer))
+    return results
 
 
 def phrase_texts(parse: Lz77Parse, text: bytes) -> list[bytes]:
@@ -318,13 +340,15 @@ def split_loops(
     A loop visits its cuts in ascending order on the side's oriented
     pattern and stops at the side's leftmost (rightmost) leaf.  Descents are
     memoized per cut and trie family across the loops; with ``live_only``
-    a loop skips the cuts that fail the engine's head-table test.
+    a loop skips the cuts that fail the engine's live-cut test on the tries'
+    heads.
     """
     rev = side.is_reverse
     text, flipped = (pattern[::-1], pattern) if rev else (pattern, pattern[::-1])
     m = len(text)
     h = min(1 << ((k + 1).bit_length() - 2), HEAD_CAP)
-    alpha_heads, beta_heads = side.head_tables(h)
+    alpha_heads = side.suffix_trie.heads(h)
+    beta_heads = side.prefix_trie.heads(h)
     memo: dict[tuple[int, int], tuple] = {}
     stats = QueryStats()
 

@@ -20,6 +20,7 @@ from helpers import (
     random_pattern,
     random_tree_newick,
     split_loops,
+    table_classify,
 )
 from phylokmer import (
     build_index,
@@ -282,7 +283,7 @@ def _assert_live_cuts_match_all_cuts(index, pattern, k):
 
 def _live_cut_instances():
     """Unary and periodic genomes, where every head of a pattern from them is
-    in the head tables, random genomes, the worked fixture, whose genomes
+    among the tries' heads, random genomes, the worked fixture, whose genomes
     are shorter than H for k >= 15, and genomes long enough for k-mers where
     H stays at HEAD_CAP."""
     rng = random.Random(54)
@@ -329,7 +330,9 @@ def test_live_cuts_match_all_cuts_for_every_k():
             for pattern in (piece, bytes(mutated), unary, piece[: h - 1]):
                 if pattern:
                     _assert_live_cuts_match_all_cuts(index, pattern, k)
-        assert max(index.forward.heads) == max(index.reverse.heads) == HEAD_CAP
+        sides = (index.forward, index.reverse)
+        tries = [trie for side in sides for trie in (side.suffix_trie, side.prefix_trie)]
+        assert {max(trie._heads) for trie in tries} == {HEAD_CAP}
 
 
 @st.composite
@@ -441,7 +444,7 @@ def test_large_pangenome_load_memory_and_whole_genome_queries(tmp_path):
     # 8 x 25 kB from the benchmark's generator.  Loading keeps no copy of
     # the boundary prefixes, which would cost the phrase count times the
     # genome length; the index it returns is what the heap should hold.
-    # Whole-genome queries add head tables of at most HEAD_CAP bytes a
+    # Whole-genome queries add the tries' head sets of at most HEAD_CAP bytes a
     # head, plus a set entry and a bytes header: uncapped heads would grow
     # the heap by about 53 MB here, four times the index.  They also build
     # the grid nodes of the runs they query: a list slot per entry, 8 bytes
@@ -471,7 +474,7 @@ def test_large_pangenome_load_memory_and_whole_genome_queries(tmp_path):
         tracemalloc.stop()
     assert peak <= 1.5 * kept, f"load peaked at {peak / 2**20:.1f} MB, kept {kept / 2**20:.1f} MB"
     heads = sum(len(table) for side in (index.forward, index.reverse)
-                for tables in side.heads.values() for table in tables)
+                for trie in (side.suffix_trie, side.prefix_trie) for table in trie._heads.values())
     nodes = [node for side in (index.forward, index.reverse) for node in side.grid._nodes.values()]
     entries = sum(len(ys) + len(labels) + sum(map(len, table)) for ys, labels, table in nodes)
     assert queried - kept <= (HEAD_CAP + 64) * heads + 9 * entries + 512 * len(nodes), (
@@ -502,7 +505,7 @@ def test_400kb_pangenome_matches_reference_after_save_and_load(tmp_path):
         points = side.grid.points
         tracemalloc.start()
         try:
-            grid = ContextGrid(points, side.grid.aggregator)
+            grid = ContextGrid(points, "max" if side.is_reverse else "min")
             for lo, hi in node_intervals(side.suffix_trie):
                 grid.range_best(lo, hi, 1, side.prefix_trie.size)
             kept, _ = tracemalloc.get_traced_memory()
@@ -580,3 +583,59 @@ def test_edge_cases_match_reference_after_save_and_load(case, tmp_path):
         for k in range(1, max(map(len, seqs)) + 1):
             got = classify(index, pattern, k)
             assert got == naive_classify(tree, genomes, pattern, k), (pattern, k)
+
+
+def _family_text(family, rng, sentinel):
+    """About 400 bytes of one repetitive or random family, without the sentinel."""
+    if family == "fibonacci":
+        a, b = b"A", b"AB"
+        while len(b) < 400:
+            a, b = b, b + a
+        return b
+    if family == "unary":
+        return b"A" * 400
+    if family == "period-7":
+        return b"ACGTTGA" * 58
+    if family == "nested-repeat":
+        # X(i + 1) = X(i) c X(i): repeats inside repeats at every scale.
+        text = b"GAT"
+        for c in b"CTAGCAT":
+            text = text + bytes([c]) + text
+        return text[:400]
+    alphabet = bytes(b for b in range(256) if b != sentinel)
+    return bytes(rng.choice(alphabet) for _ in range(400))
+
+
+@pytest.mark.parametrize("sentinel", [0x00, 0xFF], ids=["00", "ff"])
+@pytest.mark.parametrize(
+    "family", ["fibonacci", "unary", "period-7", "nested-repeat", "random-byte"]
+)
+def test_families_match_table_oracle_after_save_and_load(family, sentinel, tmp_path):
+    # Four genomes of 70-160 bytes cut from one 400-byte text, every other
+    # one with an edit, under a random tree; seven patterns: two whole
+    # genomes, an edited 80-byte window of each genome and 80 bytes that run
+    # across two genomes.
+    rng = random.Random(f"{family}:{sentinel}")
+    text = _family_text(family, rng, sentinel)
+    seqs = []
+    for g in range(4):
+        start = rng.randrange(len(text) - 160)
+        seq = bytearray(text[start : start + rng.randint(70, 160)])
+        if g % 2:
+            seq[rng.randrange(len(seq))] = rng.choice(b"ACGT")
+        seqs.append(bytes(seq))
+    names = [f"L{i}" for i in range(4)]
+    tree = parse_newick(random_tree_newick(rng, names, multifurcating=sentinel == 0xFF))
+    genomes = [GenomeRecord(name, seq) for name, seq in zip(names, seqs)]
+    save_index(build_index(tree, genomes, bytes([sentinel])), tmp_path / "family.pkm")
+    index = load_index(tmp_path / "family.pkm")
+    patterns = [seqs[0], seqs[3], seqs[1][-40:] + seqs[2][:40]]
+    for seq in seqs:
+        start = rng.randrange(len(seq) - 69)
+        window = bytearray(seq[start : start + 80])
+        window[rng.randrange(len(window))] = rng.choice(b"ACGT")
+        patterns.append(bytes(window))
+    for pattern in patterns:
+        for k in (1, 2, 3, 16, 31, 32, 33, 63, 64):
+            got = classify(index, pattern, k)
+            assert got == table_classify(tree, genomes, pattern, k), (pattern, k)

@@ -61,6 +61,9 @@ def test_internal_labels_and_branch_lengths():
     assert tree.leaf_labels() == ("A", "B", "C")
     assert tree.labels[2] == "ab"
     assert tree.labels[tree.root] == "root"
+    tree = parse_newick(" ( A:1e-3 ,\n B:2 )r:0 ;\n")
+    assert tree.leaves == (1, 3)
+    assert tree.labels[tree.root] == "r"
 
 
 def test_in_order_property_on_random_binary_trees():
@@ -89,6 +92,22 @@ def test_in_order_children_ascend_through_parent():
         for v in range(1, tree.vertex_count + 1):
             if tree.children[v]:
                 assert tree.children[v][0] < v < tree.children[v][-1]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_caterpillar_of_3000_leaves(side):
+    # 2,999 nested groups parse without recursion, in order either way.
+    count = 3000
+    if side == "left":
+        text = "(" * (count - 1) + "L0" + "".join(f",L{i})" for i in range(1, count)) + ";"
+    else:
+        text = "".join(f"(L{i}," for i in range(count - 1)) + f"L{count - 1}"
+        text += ")" * (count - 1) + ";"
+    tree = parse_newick(text)
+    assert tree.leaves == tuple(range(1, 2 * count, 2))
+    assert tree.leaf_labels() == tuple(f"L{i}" for i in range(count))
+    assert tree.root == (2 * count - 2 if side == "left" else 2)
+    assert tree_from_parents(tree.parent, tree.labels) == tree
 
 
 def test_tree_from_parents_rebuilds_parsed_trees():
@@ -130,6 +149,13 @@ def test_tree_from_parents_rejects_swapped_numbers():
         "(A,A);",
         "(A:x,B);",
         ";",
+        "(A B);",
+        "(A,B)C D;",
+        "(:1,B);",
+        "((A,B),);",
+        "(A,B);;",
+        "A,B;",
+        ")A;",
     ],
 )
 def test_newick_errors(bad):

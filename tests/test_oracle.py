@@ -1,7 +1,18 @@
 """The brute-force reference itself, pinned on hand-checked values."""
-import pytest
+import random
 
-from helpers import fixture_genomes, fixture_tree, kmer_occurrences
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import (
+    fixture_genomes,
+    fixture_tree,
+    kmer_occurrences,
+    random_instance,
+    random_pattern,
+    table_classify,
+)
 from phylokmer.model import GenomeRecord, parse_newick
 from phylokmer.oracle import naive_classify
 
@@ -52,3 +63,17 @@ def test_edge_cases():
     single = parse_newick("G;")
     results = naive_classify(single, [GenomeRecord("G", b"AC")], b"AC", 1)
     assert [r.answer for r in results] == [1, 1]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12))
+def test_table_classify_matches_naive_classify(seed, k):
+    # Up to 6 genomes of up to 24 bytes and patterns of up to 20 bytes, so
+    # small k-mers recur across genomes and the table keeps wide spans.
+    rng = random.Random(seed)
+    tree, genomes = random_instance(rng, max_genomes=6, max_genome_len=24)
+    for _ in range(3):
+        pattern = random_pattern(rng, genomes, max_len=20)
+        assert table_classify(tree, genomes, pattern, k) == naive_classify(
+            tree, genomes, pattern, k
+        ), (pattern, k)

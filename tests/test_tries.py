@@ -5,6 +5,7 @@ from bisect import bisect_left
 import pytest
 
 from helpers import prefix_intervals, reference_trie, string_at, trie_shape
+from phylokmer.engine import HEAD_CAP
 from phylokmer.tries import build_trie
 
 PREFIX_STRINGS = [b"", b"AGAT", b"AT", b"ATACAT", b"ATTACAT", b"CAT", b"TACAT", b"TTACAT"]
@@ -369,3 +370,18 @@ def test_build_from_refs_rejects_unsorted_or_duplicate_strings():
             build_trie(text=b + b"$" + a, refs=[(len(b) + 1, len(a)), (0, len(b))])
         if a != b:
             build_trie([b, a])  # the other order is fine
+
+
+def test_heads_match_brute_force():
+    # heads(h) is kept on the trie: a second call returns the same set.
+    rng = random.Random(29)
+    for trial in range(60):
+        strings = _random_sorted_set(rng, trial)
+        text, refs = b"", []
+        for s in strings:
+            refs.append((len(text), len(s)))
+            text += s + b"$"
+        trie = build_trie(text=text, refs=refs)
+        for h in range(1, HEAD_CAP + 1):
+            assert trie.heads(h) == {s[:h] for s in strings if len(s) >= h}, (strings, h)
+            assert trie.heads(h) is trie.heads(h)
