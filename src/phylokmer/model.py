@@ -144,7 +144,7 @@ def parse_newick(source: str | IO[str]) -> PhyloTree:
             if not filled:
                 raise NewickError(f"empty group slot at offset {pos}")
             pos += 1
-            filled = ch == ")"
+            filled = ch == ")"  # the closed group fills its parent's slot
             if filled:
                 kids = stack.pop()
                 label = read_label()

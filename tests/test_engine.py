@@ -613,8 +613,8 @@ def _family_text(family, rng, sentinel):
 def test_families_match_table_oracle_after_save_and_load(family, sentinel, tmp_path):
     # Four genomes of 70-160 bytes cut from one 400-byte text, every other
     # one with an edit, under a random tree; seven patterns: two whole
-    # genomes, an edited 80-byte window of each genome and 80 bytes that run
-    # across two genomes.
+    # genomes, an edited window of 70-80 bytes of each genome and 80 bytes
+    # that run across two genomes.
     rng = random.Random(f"{family}:{sentinel}")
     text = _family_text(family, rng, sentinel)
     seqs = []
