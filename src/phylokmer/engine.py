@@ -10,18 +10,19 @@ k-mer occurs.  k is chosen per query, never at build time.
 Per classify call and side, one sweep over the live cuts of the pattern,
 read in that side's text direction (the reverse side reads it reversed),
 serves every k-mer: at most one descent per cut and trie family, so at
-most 4m descents for a pattern of length m.  A cut is live when, for H the
-largest power of two with 2H - 1 <= k, capped at ``HEAD_CAP``, the H bytes
-left of it end a suffix string or the H bytes right of it start a prefix
-string.  At cut c the k-mers still open at positions c - k .. c - 1 split
-there; without one the cut is not descended.  The alpha descent (the up to
-k bytes left of c, reversed, in the suffix trie) and the beta descent (the
-up to k - 1 bytes right of c, in the prefix trie) are each verified once
-and keep their verified length and node chain: a k-mer whose alpha or beta
-part is longer than that length does not split there, and one that does
-bisects the chains for its rank box.  The box's x-range is a suffix-trie
-node's: the grid scans the box's points when they are few, and otherwise
-answers from the node of their run, built on that run's first query.
+most 4m descents for a pattern of length m.  A cut is live when, for H =
+``head_length(k)``, the H bytes left of it end a suffix string or the H
+bytes right of it start a prefix string.  At cut c the k-mers still open
+at positions c - k .. c - 1 split there; without one the cut is not
+descended.  The alpha descent (the up to k bytes left of c, reversed, in
+the suffix trie) and the beta descent (the up to k - 1 bytes right of c,
+in the prefix trie) are each verified once and keep their verified length
+and node chain: a k-mer whose alpha or beta part is longer than that
+length does not split there, and one that does bisects the chains for its
+rank box; consecutive k-mers with the same box share one grid query.  The
+box's x-range is a suffix-trie node's: the grid scans the box's points
+when they are few, and otherwise answers from the node of their run,
+built on that run's first query.
 A k-mer closes once its label is the side's leftmost (rightmost) leaf, and
 the reverse side is not asked about a k-mer the forward side found nowhere.
 """
@@ -44,10 +45,16 @@ from .model import (
 )
 from .tries import CompactTrie, build_trie
 
-# Longest head a sweep asks a trie for.  Any head length up to the one k
-# allows keeps the live-cut test exact; a cap bounds the head sets at six
-# per trie.
+# Longest head a sweep asks a trie for.  Any head length up to ceil(k / 2)
+# keeps the live-cut test exact; the cap bounds the head sets at 32 per trie.
 HEAD_CAP = 32
+
+
+def head_length(k: int) -> int:
+    """The head length H of the live-cut test at ``k``.  Exact: every split
+    of a k-mer has a part of at least ceil(k / 2) >= H bytes, and the H
+    bytes of it beside the cut end a suffix string or start a prefix string."""
+    return min((k + 1) // 2, HEAD_CAP)
 
 
 @dataclass(frozen=True)
@@ -112,7 +119,8 @@ class QueryStats:
     k-mer splitting there has a beta part.
     ``verifications`` counts comparisons with stored text; each descent
     makes one, which verifies all its prefix lengths, so it equals ``descents``.
-    ``grid_queries`` counts grid range queries.
+    ``grid_queries`` counts grid range queries: one per distinct box at a
+    cut, which the consecutive k-mers splitting there into it share.
     """
 
     descents: int = 0
@@ -211,7 +219,7 @@ def _sweep(
     best: list[int | None] = [None] * (m - k + 1)
     if not open_:
         return best
-    h = min(1 << ((k + 1).bit_length() - 2), HEAD_CAP)
+    h = head_length(k)
     alpha_heads = side.suffix_trie.heads(h)
     beta_heads = side.prefix_trie.heads(h)
     live = [
@@ -246,12 +254,16 @@ def _sweep(
         # a beta part of k - j bytes needs k - j <= b_len
         hi = bisect_right(open_, c - k + b_len, lo, hi)
         closed = False
+        pa = pb = label = None
         for i in open_[lo:hi]:
             j = c - i
             a = a_nodes[bisect_left(a_depths, j)]
             b = b_nodes[bisect_left(b_depths, k - j)]
-            queries += 1
-            label = range_best(a.lo, a.hi, b.lo, b.hi)
+            # as i grows, a rises and b deepens: equal boxes are consecutive
+            if a is not pa or b is not pb:
+                pa, pb = a, b
+                queries += 1
+                label = range_best(a.lo, a.hi, b.lo, b.hi)
             if label is not None:
                 old = best[i]
                 if old is None or (label > old if rev else label < old):
@@ -301,9 +313,8 @@ def classify_with_stats(
         raise ValueError(f"k must be at least 1, got {k}")
     _check_pattern(index, pattern)
     stats = QueryStats()
-    results: list[KmerResult] = []
     if k > len(pattern):
-        return results, stats
+        return [], stats
     n = len(pattern) - k + 1
     left = _sweep(index, index.forward, pattern, k, list(range(n)), stats)
     # Both sides answer None exactly when the k-mer occurs nowhere, so the
@@ -311,7 +322,6 @@ def classify_with_stats(
     found = [n - 1 - i for i in range(n - 1, -1, -1) if left[i] is not None]
     right = _sweep(index, index.reverse, pattern, k, found, stats)
     query = index.lca.query
-    for i in range(n):
-        answer = None if left[i] is None else query(left[i], right[n - 1 - i])
-        results.append(KmerResult(position=i + 1, kmer=pattern[i : i + k], answer=answer))
-    return results, stats
+    answers = [None if a is None else query(a, b) for a, b in zip(left, reversed(right))]
+    kmers = [pattern[i : i + k] for i in range(n)]
+    return list(map(KmerResult, range(1, n + 1), kmers, answers)), stats

@@ -1,14 +1,19 @@
-"""Binary index file format, version 4: the LZ77 parses, not the text.
+"""Binary index file format, version 5: the LZ77 parses, not the text.
 
 Little-endian throughout.  Layout: magic, format version (u16), sentinel
 byte, tree section, the text length (u32), the phrases of the forward and
 of the reverse side, and last a CRC32 of every byte before it.  A section
-is a u32 row count followed by one ``struct``-packed column per field.  A
-side's section holds the columns of its ``Lz77Parse`` as they are: match
-lengths (u32) and sources + 1 (u32, 0 for none), and on the forward side
-the literals (u8); a reverse phrase's literal is a byte of the reversed
-text.  A final phrase that has no literal writes 0 in its place, so an
-index has exactly one file.  Load reads the columns back into an
+is a u32 row count followed by its columns.  A column is one width byte w
+in 1..4, then its values in w bytes each, where w is the fewest bytes that
+hold the column's largest value (1 for an all-zero column); a wider w is
+rejected, so an index has exactly one file.  The tree section holds the
+vertices' parents and label sizes, then the label bytes.  A side's section
+holds the columns of its ``Lz77Parse`` as they are: match lengths and
+sources + 1 (0 for none), and on the forward side the literals, written as
+the bytes they are with w = 1; a reverse phrase's literal is a byte of the
+reversed text.  A final phrase that has no literal writes 0 in its place.
+Columns are packed as u32 and narrowed by byte plane, and unpacked the
+other way, with no Python loop per value; load reads them back into an
 ``Lz77Parse``, with no object per phrase.  Everything else is derived on
 load: the text by copying each forward phrase from its source (an
 overlapping source by doubling the copied periods), the genomes as the
@@ -27,7 +32,7 @@ copying an earlier source, reverse phrases that decode to the reversed
 text, and one non-empty genome per leaf.  That is all an exact answer
 needs: every k-mer's leftmost occurrence then crosses a phrase boundary.
 Load memory follows the declared text length, at most 4 GiB - 1, not the
-file size.  Any failure raises IndexFileError.  Version 1, 2 and 3 files
+file size.  Any failure raises IndexFileError.  Files of versions 1 to 4
 are rejected ("unsupported format version ...") and must be rebuilt.
 """
 from __future__ import annotations
@@ -46,7 +51,7 @@ from .model import Concatenation, PhyloTree, tree_from_parents
 from .tries import build_trie  # noqa: F401 -- perfbench/tracing.py wraps store.build_trie
 
 MAGIC = b"PKMRIDX\x00"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 _NO_LABEL = 0xFFFF
 
@@ -55,11 +60,28 @@ class IndexFileError(ValueError):
     """Unreadable, damaged or incompatible index file."""
 
 
-def _section(out: list[bytes], codes: str, columns) -> None:
-    """Append a row count, then one column per struct code in ``codes``."""
-    out.append(struct.pack("<I", len(columns[0])))
-    for code, column in zip(codes, columns):
-        out.append(struct.pack(f"<{len(column)}{code}", *column))
+def _check(ok: bool, problem: str) -> None:
+    if not ok:
+        raise IndexFileError(problem)
+
+
+def _section(out: list[bytes], columns) -> None:
+    """Append a row count, then each column as a width byte w and its values
+    in w little-endian bytes each; a ``bytes`` column is written as it is."""
+    count = len(columns[0])
+    out.append(struct.pack("<I", count))
+    for column in columns:
+        if isinstance(column, bytes):
+            out += (b"\x01", column)
+            continue
+        wide = struct.pack(f"<{count}I", *column)
+        w = 4  # drop the high byte planes that are all zero
+        while w > 1 and wide[w - 1 :: 4].count(0) == count:
+            w -= 1
+        narrow = bytearray(count * w)
+        for plane in range(w):
+            narrow[plane::w] = wide[plane::4]
+        out += (bytes((w,)), narrow)
 
 
 class _Reader:
@@ -74,17 +96,20 @@ class _Reader:
         self.pos += size
         return self.data[self.pos - size : self.pos]
 
-    def section(self, codes: str) -> list[tuple[int, ...]]:
+    def section(self, ncolumns: int) -> list[tuple[int, ...]]:
         (count,) = struct.unpack("<I", self.take(4))
-        return [
-            struct.unpack(f"<{count}{code}", self.take(count * struct.calcsize(code)))
-            for code in codes
-        ]
-
-
-def _check(ok: bool, problem: str) -> None:
-    if not ok:
-        raise IndexFileError(problem)
+        columns = []
+        for _ in range(ncolumns):
+            (w,) = self.take(1)
+            _check(1 <= w <= 4, f"column width {w} outside 1..4")
+            narrow = self.take(count * w)
+            # the highest byte plane is kept only when some value needs it
+            _check(w == 1 or narrow[w - 1 :: w].count(0) < count, f"column width {w} too wide")
+            wide = bytearray(4 * count)
+            for plane in range(w):
+                wide[plane::4] = narrow[plane::w]
+            columns.append(struct.unpack(f"<{count}I", wide))
+        return columns
 
 
 def _write_tree(out: list[bytes], tree: PhyloTree) -> None:
@@ -92,12 +117,12 @@ def _write_tree(out: list[bytes], tree: PhyloTree) -> None:
     if any(label is not None and len(label) >= _NO_LABEL for label in labels):
         raise ValueError("vertex label too long")
     sizes = [_NO_LABEL if label is None else len(label) for label in labels]
-    _section(out, "IH", (tree.parent[1:], sizes))
+    _section(out, (tree.parent[1:], sizes))
     out.extend(label for label in labels if label)
 
 
 def _read_tree(src: _Reader) -> PhyloTree:
-    parents, sizes = src.section("IH")
+    parents, sizes = src.section(2)
     labels = [None if n == _NO_LABEL else src.take(n).decode("utf-8") for n in sizes]
     return tree_from_parents((0, *parents), (None, *labels))
 
@@ -109,12 +134,13 @@ def _read_parse(src: _Reader, n: int, text: bytes | None = None) -> tuple[bytes,
     takes its literals from ``text`` and must decode to it, and returns
     ``text`` itself, not a copy of its decode.
     """
-    lens, sources, *column = src.section("IIB" if text is None else "II")
+    lens, sources, *column = src.section(3 if text is None else 2)
     starts = [0, *accumulate(length + 1 for length in lens)]
     short = starts.pop() - n  # 1 when the final phrase has no literal
     _check(short in (0, 1) and (not short or lens[-1] > 0), f"phrases do not tile {n} bytes")
     if column:
         _check(not short or column[0][-1] == 0, "literal byte after the final phrase's match")
+        _check(max(column[0], default=0) < 256, "literal above 255")
         literals = bytes(column[0][: len(lens) - short])
     else:
         literals = bytes(text[s + m] for s, m in zip(starts, lens[: len(lens) - short]))
@@ -136,17 +162,17 @@ def _read_parse(src: _Reader, n: int, text: bytes | None = None) -> tuple[bytes,
 
 
 def save_index(index: KmerIndex, path) -> None:
-    """Write the index to ``path`` in format version 4, atomically."""
+    """Write the index to ``path`` in format version 5, atomically."""
     n = len(index.forward.text)
     if n >= 1 << 32:
         raise ValueError(f"text of {n} bytes too long for the index file")
     out = [MAGIC, struct.pack("<HB", FORMAT_VERSION, index.sentinel)]
     _write_tree(out, index.tree)
     out.append(struct.pack("<I", n))
-    for parse, codes in ((index.forward.parse, "IIB"), (index.reverse.parse, "II")):
+    for parse, columns in ((index.forward.parse, 3), (index.reverse.parse, 2)):
         # sources + 1 (0: none); a final phrase without a literal writes 0
         sources = [source + 1 for source in parse.sources]
-        _section(out, codes, (parse.match_lens, sources, parse.literals.ljust(parse.z, b"\0")))
+        _section(out, (parse.match_lens, sources, parse.literals.ljust(parse.z, b"\0"))[:columns])
     payload = b"".join(out)
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:

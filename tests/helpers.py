@@ -10,7 +10,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from phylokmer.engine import HEAD_CAP, KmerIndex, KmerResult, QueryStats, SideIndex
+from phylokmer.engine import KmerIndex, KmerResult, QueryStats, SideIndex, head_length
 from phylokmer.lz77 import Lz77Parse
 from phylokmer.model import Concatenation, GenomeRecord, PhyloTree, parse_newick
 from phylokmer.oracle import _leaf_sequences, _walk_lca
@@ -341,15 +341,18 @@ def split_loops(
     pattern and stops at the side's leftmost (rightmost) leaf.  Descents are
     memoized per cut and trie family across the loops; with ``live_only``
     a loop skips the cuts that fail the engine's live-cut test on the tries'
-    heads.
+    heads.  Grid queries count each box once per cut, a box being the
+    (alpha node, beta node) pair, with the prefix trie's root for j = k:
+    the sweep asks the grid once for the consecutive k-mers that share one.
     """
     rev = side.is_reverse
     text, flipped = (pattern[::-1], pattern) if rev else (pattern, pattern[::-1])
     m = len(text)
-    h = min(1 << ((k + 1).bit_length() - 2), HEAD_CAP)
+    h = head_length(k)
     alpha_heads = side.suffix_trie.heads(h)
     beta_heads = side.prefix_trie.heads(h)
     memo: dict[tuple[int, int], tuple] = {}
+    boxes: set[tuple[int, object, object]] = set()
     stats = QueryStats()
 
     def descend(family: int, c: int, part: bytes) -> tuple:
@@ -378,16 +381,17 @@ def split_loops(
             if j == k:
                 if not side.prefix_trie.size:
                     continue
-                y1, y2 = 1, side.prefix_trie.size
+                b = side.prefix_trie.root  # its ranks are 1 .. size
             else:
                 b_len, b_depths, b_nodes = descend(1, c, text[c : c + k - 1])
                 if k - j > b_len:
                     continue
-                node = b_nodes[bisect_left(b_depths, k - j)]
-                y1, y2 = node.lo, node.hi
-            node = a_nodes[bisect_left(a_depths, j)]
-            stats.grid_queries += 1
-            label = side.grid.range_best(node.lo, node.hi, y1, y2)
+                b = b_nodes[bisect_left(b_depths, k - j)]
+            a = a_nodes[bisect_left(a_depths, j)]
+            if (c, a, b) not in boxes:
+                boxes.add((c, a, b))
+                stats.grid_queries += 1
+            label = side.grid.range_best(a.lo, a.hi, b.lo, b.hi)
             if label is not None and (best is None or (label > best if rev else label < best)):
                 best = label
                 if best == target:

@@ -40,7 +40,7 @@ def test_build_summary(built, capsys, tmp_path):
     assert "genomes: 5  vertices: 9  text: 44 bytes" in captured.out
     assert "forward: phrases=12 suffixes=9 prefixes=8 grid_points=10" in captured.out
     assert "reverse: phrases=10" in captured.out
-    assert f"wrote {out} (313 bytes)" in captured.out
+    assert f"wrote {out} (161 bytes)" in captured.out
     assert out.exists()
 
 
@@ -309,13 +309,17 @@ def test_bytes_outside_a_to_z_are_kept(tmp_path, capsys):
 
 
 def _unary_index_file(path, n):
-    """A valid 72-byte file for one genome of ``n`` A's: per side, a literal
-    A, then one phrase copying n - 1 bytes from position 0."""
+    """A valid file for one genome of ``n`` A's: per side, a literal A, then
+    one phrase copying n - 1 bytes from position 0.  Each column is a width
+    byte and its values; the match lengths take the fewest bytes that hold
+    n - 1, the other columns one byte."""
+    w = max(1, ((n - 1).bit_length() + 7) // 8)
+    lengths = bytes([w]) + (0).to_bytes(w, "little") + (n - 1).to_bytes(w, "little")
     payload = MAGIC + struct.pack("<HB", FORMAT_VERSION, ord("$"))
-    payload += struct.pack("<IIH", 1, 0, 1) + b"G"  # one vertex: the root leaf G
+    payload += struct.pack("<I", 1) + b"\x01\x00\x01\x01G"  # one vertex: the root leaf G
     payload += struct.pack("<I", n)
-    payload += struct.pack("<I2I2I2B", 2, 0, n - 1, 0, 1, ord("A"), 0)
-    payload += struct.pack("<I2I2I", 2, 0, n - 1, 0, 1)
+    payload += struct.pack("<I", 2) + lengths + b"\x01\x00\x01" + b"\x01A\x00"
+    payload += struct.pack("<I", 2) + lengths + b"\x01\x00\x01"
     path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
 
 
@@ -323,7 +327,7 @@ def _unary_index_file(path, n):
 def test_query_out_of_memory_is_one_line_error(tmp_path):
     small = tmp_path / "small.idx"
     _unary_index_file(small, 1000)
-    assert small.stat().st_size == 72
+    assert small.stat().st_size == 55
     assert load_index(small).forward.text == b"A" * 1000
     huge = tmp_path / "huge.idx"
     _unary_index_file(huge, (1 << 32) - 1)

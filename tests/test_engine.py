@@ -31,7 +31,7 @@ from phylokmer import (
     save_index,
     side_query,
 )
-from phylokmer.engine import HEAD_CAP, QueryStats, _sweep
+from phylokmer.engine import HEAD_CAP, QueryStats, _sweep, head_length
 from phylokmer.grid import BLOCK, ContextGrid
 from phylokmer.model import GenomeRecord, parse_newick
 
@@ -284,7 +284,7 @@ def _assert_live_cuts_match_all_cuts(index, pattern, k):
 def _live_cut_instances():
     """Unary and periodic genomes, where every head of a pattern from them is
     among the tries' heads, random genomes, the worked fixture, whose genomes
-    are shorter than H for k >= 15, and genomes long enough for k-mers where
+    are shorter than H for k >= 17, and genomes long enough for k-mers where
     H stays at HEAD_CAP."""
     rng = random.Random(54)
     repeat = bytearray((b"ACGTTGA" * 60)[:400])
@@ -317,10 +317,10 @@ def test_live_cuts_match_all_cuts_for_every_k():
     rng, instances = _live_cut_instances()
     for tree, genomes in instances:
         index = build_index(tree, genomes)
-        # 2H - 1 in {1, 3, 7, 15, 31, 63} are the boundaries; from k = 127 on
-        # H stays at HEAD_CAP, which keeps the test exact.
+        # H = ceil(k / 2) steps at every odd k; from k = 63 on H stays at
+        # HEAD_CAP, which keeps the test exact.
         for k in [*range(1, 71), 126, 127, 128, 200, 255, 256]:
-            h = min(1 << ((k + 1).bit_length() - 2), HEAD_CAP)
+            h = head_length(k)
             seq = rng.choice(genomes).sequence
             start = rng.randrange(len(seq))
             piece = (seq[start:] + seq)[: k + rng.randrange(4)]

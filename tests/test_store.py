@@ -30,29 +30,42 @@ from phylokmer import (
 )
 from phylokmer.lz77 import lz77_parse
 from phylokmer.model import parse_newick, reverse_concatenation
-from phylokmer.store import FORMAT_VERSION, MAGIC, IndexFileError, _section, _write_tree
+from phylokmer.store import FORMAT_VERSION, MAGIC, IndexFileError, _Reader, _section, _write_tree
 
 SENTINEL = len(MAGIC) + 2  # after the magic and the u16 version
 HEAD = SENTINEL + 1
-# The fixture's u32 text length (44) follows 9 tree vertices (u32 parent,
-# u16 label size, label bytes).
-TEXT_LENGTH = HEAD + 4 + 9 * 6 + sum(map(len, FIXTURE_NAMES))
-# Its 12 forward phrase records, after the u32 count: columns of u32 match
-# length, u32 source + 1 and u8 literal.
-FORWARD_PHRASES = TEXT_LENGTH + 4 + 4
-LAST_FORWARD_LENGTH = FORWARD_PHRASES + 11 * 4
-LAST_FORWARD_SOURCE = FORWARD_PHRASES + 12 * 4 + 11 * 4
-FORWARD_LITERALS = FORWARD_PHRASES + 12 * 8
-# Then the reverse side's 10 records: u32 match length and u32 source + 1.
-REVERSE_PHRASES = FORWARD_PHRASES + 12 * 9 + 4
-REVERSE_SOURCES = REVERSE_PHRASES + 10 * 4
+# The fixture's tree section: the u32 count of its 9 vertices, then a width
+# byte and the parents (1 byte each), a width byte and the label sizes (2
+# bytes each, since 0xFFFF marks no label), and the label bytes.
+PARENTS = HEAD + 4 + 1
+LABEL_SIZES = PARENTS + 9 + 1
+LABELS = LABEL_SIZES + 9 * 2
+# Then the u32 text length (44).
+TEXT_LENGTH = LABELS + sum(map(len, FIXTURE_NAMES))
+# Its 12 forward phrases, after the u32 count: columns of 1-byte match
+# lengths, sources + 1 and literals, each after its width byte.
+FORWARD_PHRASES = TEXT_LENGTH + 4 + 4 + 1
+LAST_FORWARD_LENGTH = FORWARD_PHRASES + 11
+LAST_FORWARD_SOURCE = FORWARD_PHRASES + 13 + 11
+FORWARD_LITERALS = FORWARD_PHRASES + 13 * 2
+# Then the reverse side's 10 phrases: 1-byte match lengths and sources + 1.
+REVERSE_PHRASES = FORWARD_LITERALS + 12 + 4 + 1
+REVERSE_SOURCES = REVERSE_PHRASES + 11
+# The width byte of every column, in file order.
+WIDTHS = (
+    PARENTS - 1,
+    LABEL_SIZES - 1,
+    *(FORWARD_PHRASES - 1 + 13 * column for column in range(3)),
+    REVERSE_PHRASES - 1,
+    REVERSE_SOURCES - 1,
+)
 
 
 def test_fixture_round_trip(worked_index, tmp_path):
     path = tmp_path / "fixture.idx"
     save_index(worked_index, path)
     # The phrases and the CRC end the file: no copy of the text hides in it.
-    assert path.stat().st_size == REVERSE_SOURCES + 10 * 4 + 4 == 313
+    assert path.stat().st_size == REVERSE_SOURCES + 10 + 4 == 161
     loaded = load_index(path)
     assert loaded.forward.text == worked_index.forward.text
     assert loaded.forward.parse == worked_index.forward.parse
@@ -61,14 +74,14 @@ def test_fixture_round_trip(worked_index, tmp_path):
         assert classify(loaded, b"TAGACA", k) == classify(worked_index, b"TAGACA", k)
 
 
-# Index files of the benchmark's workloads, seeds 1-3, at format v4: the
+# Index files of the benchmark's workloads, seeds 1-3, at format v5: the
 # first 16 hex digits of their SHA-256.  (genomes, genome length) per
 # workload are those of perfbench/run.py.  A change to the parse, the
 # contexts or the file layout changes them.
 PINNED_INDEX_FILES = {
-    ("build", 6, 12_000): ("ca3a202ced9c2c8a", "468388c222cc1239", "be3be3a3429b2e90"),
-    ("reads_k31", 16, 2_500): ("303ab554e0fb45db", "a699926c2ac7b0b8", "7fb7a82c8d7b5682"),
-    ("reads_k63_novel", 48, 1_000): ("d98f35b75d4cc4f4", "a9ef1746d0bf8788", "2bcfa05670b9ad36"),
+    ("build", 6, 12_000): ("57cde1fccdafb930", "886f24a5cf50dfc9", "28580bd1c07a0235"),
+    ("reads_k31", 16, 2_500): ("a97397ef858468bf", "123b5e5d16872c0e", "f708da1655f40141"),
+    ("reads_k63_novel", 48, 1_000): ("97946018e20051f3", "b81e9057fcd5796e", "3a14c56b480274ad"),
 }
 
 
@@ -209,7 +222,7 @@ def test_rejects_foreign_and_damaged_files(worked_index, tmp_path):
     with pytest.raises(IndexFileError):
         load_index(wrong_version)
 
-    for version in (1, 2, 3):
+    for version in (1, 2, 3, 4):
         old = tmp_path / f"v{version}.idx"
         old.write_bytes(data[: len(MAGIC)] + struct.pack("<H", version) + data[len(MAGIC) + 2 :])
         with pytest.raises(IndexFileError, match=f"unsupported format version {version}"):
@@ -234,19 +247,23 @@ def test_every_single_bit_flip_is_rejected(worked_index, tmp_path):
     [
         # The sentinel made "A": the text splits into 18 genomes for 5 leaves.
         (SENTINEL, b"A", "18 genomes for 5 leaves"),
-        # Parent of vertex 1, right after the tree's vertex count.
-        (HEAD + 4, struct.pack("<I", 0x7F), "outside 0..9"),
-        (HEAD + 4, struct.pack("<I", 1), "cycle"),
+        # Parent of vertex 1, the first of the tree's parents.
+        (PARENTS, b"\x7f", "outside 0..9"),
+        (PARENTS, b"\x01", "cycle"),
         # Leaf 3 moved under vertex 8: the leaves read 1, 5, 3, 7, 9 left to
         # right, so the min and max leaf of {1, 3, 5} would miss their LCA.
-        (HEAD + 4 + 2 * 4, struct.pack("<I", 8), "not numbered in order"),
-        # First label byte, after 9 parents (u32) and 9 label sizes (u16).
-        (HEAD + 4 + 9 * 6, b"\xff", "utf-8"),
-        # Label sizes of vertices 1 to 3, after the 9 parents: leaf 1 loses
-        # its label and leaf 3 takes both, so 5 genomes still meet 5 leaves.
-        (HEAD + 4 + 9 * 4, struct.pack("<3H", 0xFFFF, 0xFFFF, 16), "leaf without a label"),
+        (PARENTS + 2, b"\x08", "not numbered in order"),
+        # First label byte.
+        (LABELS, b"\xff", "utf-8"),
+        # Label sizes of vertices 1 to 3: leaf 1 loses its label and leaf 3
+        # takes both, so 5 genomes still meet 5 leaves.
+        (LABEL_SIZES, struct.pack("<3H", 0xFFFF, 0xFFFF, 16), "leaf without a label"),
         # Leaf 3's label AGATACAT rewritten to leaf 1's.
-        (HEAD + 4 + 9 * 6 + 8, b"GATTACAT", "duplicate leaf label 'GATTACAT'"),
+        (LABELS + 8, b"GATTACAT", "duplicate leaf label 'GATTACAT'"),
+        # A width byte outside 1..4, on the tree's parents and on the reverse
+        # sources.
+        (PARENTS - 1, b"\x05", "column width 5 outside 1..4"),
+        (REVERSE_SOURCES - 1, b"\x00", "column width 0 outside 1..4"),
         # The text length one byte over: the forward phrases spell 44 bytes.
         pytest.param(TEXT_LENGTH, struct.pack("<I", 45), "phrases do not tile 45 bytes", id="length+1"),
         # One byte short: the last forward phrase would end the text without
@@ -255,10 +272,10 @@ def test_every_single_bit_flip_is_rejected(worked_index, tmp_path):
             TEXT_LENGTH, struct.pack("<I", 43), "literal byte after the final", id="final-literal"
         ),
         # The last forward phrase's length overruns the declared 44 bytes; it
-        # is rejected before decoding, which would copy 4 GiB.
+        # is rejected before decoding.
         pytest.param(
             LAST_FORWARD_LENGTH,
-            struct.pack("<I", 0xFFFFFFFF),
+            b"\xff",
             "phrases do not tile 44 bytes",
             id="forward-length-overrun",
         ),
@@ -267,22 +284,22 @@ def test_every_single_bit_flip_is_rejected(worked_index, tmp_path):
         # its reversal.
         pytest.param(
             LAST_FORWARD_SOURCE,
-            struct.pack("<I", 30),
+            bytes([30]),
             "reverse phrases do not spell",
             id="forward-source-shifted",
         ),
         # Its source set to its own start, which copies itself trivially.
         pytest.param(
             LAST_FORWARD_SOURCE,
-            struct.pack("<I", 36),
+            bytes([36]),
             "phrase at 35 has no earlier source",
             id="source-at-own-start",
         ),
         # The reverse phrase at 2 copies "A" from 0 (stored as 1); from 1 it
         # would copy "T".
         pytest.param(
-            REVERSE_SOURCES + 2 * 4,
-            struct.pack("<I", 2),
+            REVERSE_SOURCES + 2,
+            bytes([2]),
             "reverse phrases do not spell",
             id="reverse-source-other-byte",
         ),
@@ -309,18 +326,80 @@ def test_crafted_files_with_valid_crc_are_rejected(worked_index, tmp_path, offse
     ],
 )
 def test_crafted_texts_must_hold_one_genome_per_leaf(text, problem, tmp_path):
-    # Valid v4 files whose phrases spell the text, written as save_index
+    # Valid v5 files whose phrases spell the text, written as save_index
     # writes them: the genomes are the runs between separators.
     out = [MAGIC, struct.pack("<HB", FORMAT_VERSION, ord("$"))]
     _write_tree(out, parse_newick("(X,Y);"))
     out.append(struct.pack("<I", len(text)))
-    for parse, codes in ((lz77_parse(text), "IIB"), (lz77_parse(text[::-1]), "II")):
+    for parse, columns in ((lz77_parse(text), 3), (lz77_parse(text[::-1]), 2)):
         sources = [source + 1 for source in parse.sources]
-        _section(out, codes, (parse.match_lens, sources, parse.literals.ljust(parse.z, b"\0")))
+        _section(out, (parse.match_lens, sources, parse.literals.ljust(parse.z, b"\0"))[:columns])
     crafted = tmp_path / "crafted.idx"
     crafted.write_bytes(_with_crc(b"".join(out)))
     with pytest.raises(IndexFileError, match=problem):
         load_index(crafted)
+
+
+def test_columns_wider_than_their_values_are_rejected(fixture_file, tmp_path):
+    # The tree's parents 2 bytes wide: the same values, but then an index
+    # would have more than one file.
+    data = fixture_file.read_bytes()
+    parents = b"".join(bytes([parent, 0]) for parent in data[PARENTS : PARENTS + 9])
+    crafted = tmp_path / "wide.idx"
+    crafted.write_bytes(_with_crc(data[: PARENTS - 1] + b"\x02" + parents + data[PARENTS + 9 : -4]))
+    with pytest.raises(IndexFileError, match="column width 2 too wide"):
+        load_index(crafted)
+
+
+def test_literals_above_255_are_rejected(tmp_path):
+    text = b"ACGT$AC"
+    out = [MAGIC, struct.pack("<HB", FORMAT_VERSION, ord("$"))]
+    _write_tree(out, parse_newick("(X,Y);"))
+    out.append(struct.pack("<I", len(text)))
+    forward, reverse = lz77_parse(text), lz77_parse(text[::-1])
+    literals = list(forward.literals.ljust(forward.z, b"\0"))
+    literals[0] += 256  # "A" in its low byte
+    _section(out, (forward.match_lens, [s + 1 for s in forward.sources], literals))
+    _section(out, (reverse.match_lens, [s + 1 for s in reverse.sources]))
+    crafted = tmp_path / "literal.idx"
+    crafted.write_bytes(_with_crc(b"".join(out)))
+    with pytest.raises(IndexFileError, match="literal above 255"):
+        load_index(crafted)
+
+
+BOUNDARIES = (0, 255, 256, 65_535, 65_536, 2**24 - 1, 2**24, 2**32 - 1)
+
+
+@st.composite
+def sections(draw):
+    """One to three integer columns of equal length, each of values up to a
+    byte-width boundary and mostly of the boundaries, and sometimes a
+    ``bytes`` column."""
+    count = draw(st.integers(0, 30))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        top = draw(st.sampled_from(BOUNDARIES))
+        value = st.sampled_from([b for b in BOUNDARIES if b <= top]) | st.integers(0, top)
+        columns.append(draw(st.lists(value, min_size=count, max_size=count)))
+    if draw(st.booleans()):
+        columns.append(bytes(draw(st.lists(st.integers(0, 255), min_size=count, max_size=count))))
+    return columns
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(columns=sections())
+def test_sections_round_trip_at_the_narrowest_width(columns):
+    out = []
+    _section(out, columns)
+    data = b"".join(out)
+    src = _Reader(data, 0, len(data))
+    assert src.section(len(columns)) == [tuple(column) for column in columns]
+    assert src.pos == len(data)
+    pos = 4  # after the row count
+    for column in columns:
+        w = data[pos]
+        assert w == max(1, (max(column, default=0).bit_length() + 7) // 8), column
+        pos += 1 + w * len(column)
 
 
 def test_failed_save_leaves_previous_file(worked_index, tmp_path, monkeypatch):
@@ -349,25 +428,28 @@ def fixture_file(worked_index, tmp_path_factory):
 
 
 def _phrase_field(side: int, row: int, column: int) -> int:
-    """Offset of one phrase's u32 match length (column 0) or source + 1 (1) in the fixture file."""
+    """Offset of one phrase's 1-byte match length (column 0) or source + 1 (1)
+    in the fixture file; a column's width byte precedes it."""
     base, z = ((FORWARD_PHRASES, 12), (REVERSE_PHRASES, 10))[side]
-    return base + column * 4 * z + row % z * 4
+    return base + column * (1 + z) + row % z
 
 
 @st.composite
 def patches(draw):
     """(offset, bytes) for one phrase length or source, one forward literal,
-    the text length, the sentinel or one tree parent."""
-    kind = draw(st.sampled_from(["phrase", "literal", "length", "sentinel", "parent"]))
+    the text length, the sentinel, one tree parent or one column width."""
+    kind = draw(st.sampled_from(["phrase", "literal", "length", "sentinel", "parent", "width"]))
     if kind == "phrase":
         offset = _phrase_field(
             draw(st.integers(0, 1)), draw(st.integers(0, 11)), draw(st.integers(0, 1))
         )
-        return offset, struct.pack("<I", draw(st.integers(0, 50)))
+        return offset, bytes([draw(st.integers(0, 50))])
     if kind == "length":
         return TEXT_LENGTH, struct.pack("<I", draw(st.integers(40, 48)))
     if kind == "parent":
-        return HEAD + 4 + 4 * draw(st.integers(0, 8)), struct.pack("<I", draw(st.integers(0, 10)))
+        return PARENTS + draw(st.integers(0, 8)), bytes([draw(st.integers(0, 10))])
+    if kind == "width":
+        return draw(st.sampled_from(WIDTHS)), bytes([draw(st.integers(0, 5))])
     value = bytes([draw(st.sampled_from(b"ACGT$\x00\xff") | st.integers(0, 255))])
     if kind == "literal":
         return FORWARD_LITERALS + draw(st.integers(0, 11)), value
