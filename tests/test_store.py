@@ -248,22 +248,29 @@ def test_every_single_bit_flip_is_rejected(worked_index, tmp_path):
         # The sentinel made "A": the text splits into 18 genomes for 5 leaves.
         (SENTINEL, b"A", "18 genomes for 5 leaves"),
         # Parent of vertex 1, the first of the tree's parents.
-        (PARENTS, b"\x7f", "outside 0..9"),
-        (PARENTS, b"\x01", "cycle"),
+        pytest.param(PARENTS, b"\x7f", "outside 0..9", id="parent-out-of-range"),
+        pytest.param(PARENTS, b"\x01", "cycle", id="parent-cycle"),
         # Leaf 3 moved under vertex 8: the leaves read 1, 5, 3, 7, 9 left to
         # right, so the min and max leaf of {1, 3, 5} would miss their LCA.
-        (PARENTS + 2, b"\x08", "not numbered in order"),
+        pytest.param(PARENTS + 2, b"\x08", "not numbered in order", id="leaf-out-of-order"),
         # First label byte.
-        (LABELS, b"\xff", "utf-8"),
+        pytest.param(LABELS, b"\xff", "utf-8", id="label-not-utf8"),
         # Label sizes of vertices 1 to 3: leaf 1 loses its label and leaf 3
         # takes both, so 5 genomes still meet 5 leaves.
-        (LABEL_SIZES, struct.pack("<3H", 0xFFFF, 0xFFFF, 16), "leaf without a label"),
+        pytest.param(
+            LABEL_SIZES,
+            struct.pack("<3H", 0xFFFF, 0xFFFF, 16),
+            "leaf without a label",
+            id="leaf-without-label",
+        ),
         # Leaf 3's label AGATACAT rewritten to leaf 1's.
-        (LABELS + 8, b"GATTACAT", "duplicate leaf label 'GATTACAT'"),
+        pytest.param(
+            LABELS + 8, b"GATTACAT", "duplicate leaf label 'GATTACAT'", id="duplicate-leaf-label"
+        ),
         # A width byte outside 1..4, on the tree's parents and on the reverse
         # sources.
-        (PARENTS - 1, b"\x05", "column width 5 outside 1..4"),
-        (REVERSE_SOURCES - 1, b"\x00", "column width 0 outside 1..4"),
+        pytest.param(PARENTS - 1, b"\x05", "column width 5 outside 1..4", id="width-5"),
+        pytest.param(REVERSE_SOURCES - 1, b"\x00", "column width 0 outside 1..4", id="width-0"),
         # The text length one byte over: the forward phrases spell 44 bytes.
         pytest.param(TEXT_LENGTH, struct.pack("<I", 45), "phrases do not tile 45 bytes", id="length+1"),
         # One byte short: the last forward phrase would end the text without
@@ -331,9 +338,9 @@ def test_crafted_texts_must_hold_one_genome_per_leaf(text, problem, tmp_path):
     out = [MAGIC, struct.pack("<HB", FORMAT_VERSION, ord("$"))]
     _write_tree(out, parse_newick("(X,Y);"))
     out.append(struct.pack("<I", len(text)))
-    for parse, columns in ((lz77_parse(text), 3), (lz77_parse(text[::-1]), 2)):
+    for parse, ncolumns in ((lz77_parse(text), 3), (lz77_parse(text[::-1]), 2)):
         sources = [source + 1 for source in parse.sources]
-        _section(out, (parse.match_lens, sources, parse.literals.ljust(parse.z, b"\0"))[:columns])
+        _section(out, (parse.match_lens, sources, parse.literals.ljust(parse.z, b"\0"))[:ncolumns])
     crafted = tmp_path / "crafted.idx"
     crafted.write_bytes(_with_crc(b"".join(out)))
     with pytest.raises(IndexFileError, match=problem):
